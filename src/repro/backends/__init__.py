@@ -33,21 +33,20 @@ A third backend is gated on an optional dependency:
     how to enable it.  ``repro backends --kernels`` lists the generated
     kernel cache.
 
-All built-ins also implement the zero-copy ``sweep_into`` primitive
-(write the new step directly into the interior of a second persistent
-padded buffer), which the double-buffered grids use to eliminate the
-former per-iteration full-domain copy; backends that only provide
-``sweep_padded`` fall back to sweep-then-copy transparently.  Grids
-drive whole iterations through the backend-owned ``step_into*``
-primitives (ghost refresh included — see ``Backend.supports_fused_step``),
-so a backend that fuses the refresh into its compiled sweep is used
-automatically.
+A backend implements ``sweep_padded``; :class:`~repro.backends.base.Backend`
+implements every other primitive once on top of it — the zero-copy
+``sweep_into`` (write the new step directly into the interior of a
+second persistent padded buffer) and the ``step_into*``,
+``batch_step_into*`` and ``multi_step_into*`` steps the grids, the
+campaign engine and temporal blocking drive (ghost refresh included —
+see ``Backend.supports_fused_step``).  ``numpy`` and ``fused`` run those
+interpreted implementations; ``numba`` overrides the step families with
+its compiled kernels, so a backend that fuses the refresh into its
+sweep is used automatically.
 
 Select a backend with the ``backend=`` keyword accepted throughout the
 stack (grids, sweeps, protectors, the tiled runner), the
 ``REPRO_BACKEND`` environment variable, or the CLI's ``--backend`` flag.
-The ROADMAP's planned process-parallel and GPU backends plug into the
-same registry.
 """
 
 from repro.backends.base import Backend, ChecksumMap

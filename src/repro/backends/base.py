@@ -14,27 +14,39 @@ reproduction is built on:
     vector(s) of the freshly computed interior, mirroring the paper's
     fused kernel where the checksum is accumulated by the sweep itself
     rather than by a separate post-hoc pass over the domain.
-``sweep_into`` / ``sweep_into_with_checksums``
-    The *zero-copy* forms used by the double-buffered grids: the sweep
+``sweep_into``
+    The *zero-copy* form used by the double-buffered grids: the sweep
     reads one persistent padded buffer and writes the new interior
     straight into the interior block of a second padded buffer, so no
     full-domain array is allocated per iteration.  The base class
-    provides a copy-based fallback (sweep to a fresh array, then copy
-    into the destination interior) so a third-party backend that only
-    implements ``sweep_padded`` keeps working; the built-in backends
-    override it to write in place.
+    implements it once for every backend on top of ``sweep_padded``
+    (aliasing pairs and backends that ignore ``out`` are copied over).
 ``step_into`` / ``step_into_with_checksums``
     One whole protected *step* of a buffer pair, **including the ghost
     refresh** of the source buffer: refresh halo, sweep into the
     destination interior and (for the fused form) accumulate the
     row/column checksums.  The base implementation simply runs
     :func:`repro.stencil.shift.refresh_ghosts` followed by
-    ``sweep_into*``; a backend that *owns* its ghost refresh — e.g. a
-    JIT backend whose compiled kernel fills ghost values and checksums
-    in the same traversal that sweeps — overrides these and advertises
-    it through :meth:`supports_fused_step`.  Either way the source
-    buffer's halo holds the boundary condition afterwards, because the
-    ABFT protectors read it for the Theorem-1 α/β terms.
+    ``sweep_into`` (and ``checksum``); a backend that *owns* its ghost
+    refresh — e.g. a JIT backend whose compiled kernel fills ghost
+    values and checksums in the same traversal that sweeps — overrides
+    these and advertises it through :meth:`supports_fused_step`.
+    Either way the source buffer's halo holds the boundary condition
+    afterwards, because the ABFT protectors read it for the Theorem-1
+    α/β terms.
+``batch_step_into`` / ``batch_step_into_with_checksums``
+    The campaign engine's stacked step over a trailing run axis; the
+    base implementation is one vectorised refresh + ``sweep_into`` over
+    the whole batch.
+``multi_step_into`` / ``multi_step_into_with_checksums``
+    ``k`` blocked steps per call (temporal blocking); the base
+    implementation loops ``step_into`` over trapezoid views.
+
+A backend therefore has to implement only ``sweep_padded``: every other
+primitive has one interpreted implementation here, which the built-in
+``numpy`` and ``fused`` backends use unchanged (``fused`` overrides
+``sweep_into`` only, to stage strided destinations contiguously) and
+the compiled ``numba`` backend replaces with generated kernels.
 
 All backends must agree numerically with the ``numpy`` reference within
 the detection threshold recommended by
@@ -274,48 +286,23 @@ class Backend(ABC):
         (whose ghost cells are refreshed separately, before the *next*
         sweep reads it), so stepping allocates no full-domain array.
 
-        The base implementation is the **copy-based fallback**: it runs
-        ``sweep_padded`` into a fresh array and copies the result into
-        the destination interior.  That is always safe — including when
-        ``src_padded`` and ``dst_padded`` overlap — and keeps minimal
-        third-party backends working unchanged.  Optimised backends
-        override this to pass the destination interior as ``out``.
+        The destination interior is passed to ``sweep_padded`` as
+        ``out``.  When the two buffers alias, writing the interior while
+        the sweep still reads the source would corrupt the accumulation,
+        so the sweep takes a fresh array instead; either way a result
+        that did not land in the interior (a fresh array, or a backend
+        that ignores ``out``) is copied over.
 
         Returns the destination interior view.
         """
         interior = self._dst_interior(dst_padded, radius, interior_shape)
+        out = None if np.may_share_memory(src_padded, dst_padded) else interior
         new = self.sweep_padded(
-            src_padded, spec, radius, interior_shape, constant=constant
+            src_padded, spec, radius, interior_shape, constant=constant, out=out
         )
         if new is not interior:
             interior[...] = new
         return interior
-
-    def sweep_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """Fused form of :meth:`sweep_into`: also checksum the new interior.
-
-        The checksums are reduced from the freshly written (cache-hot)
-        destination interior, exactly as ``sweep_with_checksums`` does
-        for the allocating path.
-        """
-        interior = self.sweep_into(
-            src_padded, dst_padded, spec, radius, interior_shape, constant=constant
-        )
-        checksums: ChecksumMap = {
-            int(axis): self.checksum(interior, int(axis), dtype=checksum_dtype)
-            for axis in axes
-        }
-        return interior, checksums
 
     # -- backend-owned full steps (ghost refresh + sweep [+ checksums]) -----
     def supports_fused_step(
@@ -403,22 +390,22 @@ class Backend(ABC):
         operation — the primitive a JIT backend compiles into a single
         traversal of the pair (ghost refresh, sweep and per-point
         checksum accumulation in one pass).  ``refresh_axes`` restricts
-        the refresh exactly as in :meth:`step_into`.
+        the refresh exactly as in :meth:`step_into`.  The interpreted
+        form reduces the checksums from the freshly written (cache-hot)
+        destination interior.
         """
         from repro.stencil.shift import refresh_ghosts
 
         _record_interpreted_step(self)
         refresh_ghosts(src_padded, radius, boundary, axes=refresh_axes)
-        return self.sweep_into_with_checksums(
-            src_padded,
-            dst_padded,
-            spec,
-            radius,
-            interior_shape,
-            axes,
-            constant=constant,
-            checksum_dtype=checksum_dtype,
+        interior = self.sweep_into(
+            src_padded, dst_padded, spec, radius, interior_shape, constant=constant
         )
+        checksums: ChecksumMap = {
+            int(axis): self.checksum(interior, int(axis), dtype=checksum_dtype)
+            for axis in axes
+        }
+        return interior, checksums
 
     # -- batched campaign steps: trailing run axis ---------------------------
     @staticmethod
@@ -464,6 +451,39 @@ class Backend(ABC):
             )
         return radius, interior_shape, nb
 
+    def _batched_domain(
+        self,
+        src_padded: np.ndarray,
+        dst_padded: np.ndarray,
+        radius,
+        interior_shape: Sequence[int],
+        boundary,
+        constant: Optional[np.ndarray],
+    ):
+        """The batch as one (ndim+1)-dimensional domain.
+
+        The run axis gets ghost width 0, so one ``refresh_ghosts`` plus
+        one ``sweep_into`` over the extended domain cover every run; the
+        constant is broadcast along it.  Returns the extended
+        ``(radius, interior_shape, boundary, constant)``.
+        """
+        from repro.stencil.boundary import BoundaryCondition, BoundarySpec
+
+        radius, interior_shape, nb = self._batch_geometry(
+            src_padded, dst_padded, radius, interior_shape, constant
+        )
+        ext_shape = interior_shape + (nb,)
+        bspec = BoundarySpec.from_any(boundary, len(interior_shape))
+        # The run axis has zero ghost width, so its boundary condition
+        # is never applied; clamp is just a well-formed placeholder.
+        ext_boundary = tuple(bspec) + (BoundaryCondition.clamp(),)
+        ext_const = (
+            None
+            if constant is None
+            else np.broadcast_to(constant[..., None], ext_shape)
+        )
+        return radius + (0,), ext_shape, ext_boundary, ext_const
+
     def batch_step_into(
         self,
         src_padded: np.ndarray,
@@ -484,29 +504,33 @@ class Backend(ABC):
         runs — and must come out bit-identical to that single-run call.
         This is the campaign engine's stacked fast path: compiled
         backends override it with one generated ``bstep`` traversal
-        (outer ``prange`` over runs); the base implementation is the
-        always-correct loop over slots.
+        (outer ``prange`` over runs).
+
+        The interpreted form is one vectorised pass over the batch (see
+        :meth:`_batched_domain`).  Per-slot bit-identity with the
+        single-run step holds because every constituent is elementwise
+        or reduces a non-batch axis: the slab fills copy slot-by-slot
+        and the sweep's multiply/add sequence is the single-run order on
+        each slot.
 
         Returns the batched destination interior view
         (``interior_shape + (nb,)``).
         """
-        from repro.stencil.shift import interior_view
+        from repro.stencil.shift import refresh_ghosts
 
-        radius, interior_shape, nb = self._batch_geometry(
-            src_padded, dst_padded, radius, interior_shape, constant
+        ext_radius, ext_shape, ext_boundary, ext_const = self._batched_domain(
+            src_padded, dst_padded, radius, interior_shape, boundary, constant
         )
-        for b in range(nb):
-            self.step_into(
-                src_padded[..., b],
-                dst_padded[..., b],
-                spec,
-                radius,
-                interior_shape,
-                boundary,
-                constant=constant,
-                refresh_axes=refresh_axes,
-            )
-        return interior_view(dst_padded, radius + (0,))
+        _record_interpreted_step(self)
+        refresh_ghosts(src_padded, ext_radius, ext_boundary, axes=refresh_axes)
+        return self.sweep_into(
+            src_padded,
+            dst_padded,
+            _BatchedSpecView(spec),
+            ext_radius,
+            ext_shape,
+            constant=ext_const,
+        )
 
     def batch_step_into_with_checksums(
         self,
@@ -525,79 +549,15 @@ class Backend(ABC):
 
         The checksum map's vectors gain a trailing run axis as well
         (axis 0 of a 2D domain → shape ``(n1, nb)``), with slot ``b``
-        bit-identical to the single-run checksum of run ``b``.
+        bit-identical to the single-run checksum of run ``b``: the
+        reduction never crosses the run axis.
         """
-        from repro.stencil.shift import interior_view
-
-        radius, interior_shape, nb = self._batch_geometry(
-            src_padded, dst_padded, radius, interior_shape, constant
-        )
-        axes = tuple(int(a) for a in axes)
-        per_axis = {a: [] for a in axes}
-        for b in range(nb):
-            _, cs = self.step_into_with_checksums(
-                src_padded[..., b],
-                dst_padded[..., b],
-                spec,
-                radius,
-                interior_shape,
-                boundary,
-                axes,
-                constant=constant,
-                checksum_dtype=checksum_dtype,
-            )
-            for a in axes:
-                per_axis[a].append(cs[a])
-        checksums: ChecksumMap = {
-            a: np.stack(vs, axis=-1) for a, vs in per_axis.items()
-        }
-        return interior_view(dst_padded, radius + (0,)), checksums
-
-    def _batch_step_vectorized(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-        axes: Optional[Sequence[int]] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-    ):
-        """Whole-batch interpreted step in one vectorised pass.
-
-        The interpreted backends' shared ``batch_step_into*`` body: the
-        batch is treated as one (ndim+1)-dimensional domain whose run
-        axis has ghost width 0, so a single ``refresh_ghosts`` +
-        ``sweep_into`` covers every run.  Per-slot bit-identity with the
-        single-run step holds because every constituent is elementwise
-        or reduces a non-batch axis: the slab fills copy slot-by-slot,
-        the sweep's multiply/add sequence is the single-run order on
-        each slot, and the checksum reduction never crosses the run
-        axis.  With ``axes`` the per-run checksums are returned as well
-        (trailing run axis).
-        """
-        from repro.stencil.boundary import BoundaryCondition, BoundarySpec
         from repro.stencil.shift import refresh_ghosts
 
-        radius, interior_shape, nb = self._batch_geometry(
-            src_padded, dst_padded, radius, interior_shape, constant
+        ext_radius, ext_shape, ext_boundary, ext_const = self._batched_domain(
+            src_padded, dst_padded, radius, interior_shape, boundary, constant
         )
         _record_interpreted_step(self)
-        ndim = len(interior_shape)
-        ext_radius = radius + (0,)
-        ext_shape = interior_shape + (nb,)
-        bspec = BoundarySpec.from_any(boundary, ndim)
-        # The run axis has zero ghost width, so its boundary condition
-        # is never applied; clamp is just a well-formed placeholder.
-        ext_boundary = tuple(bspec) + (BoundaryCondition.clamp(),)
-        ext_const = (
-            None
-            if constant is None
-            else np.broadcast_to(constant[..., None], ext_shape)
-        )
         refresh_ghosts(src_padded, ext_radius, ext_boundary, axes=refresh_axes)
         interior = self.sweep_into(
             src_padded,
@@ -607,8 +567,6 @@ class Backend(ABC):
             ext_shape,
             constant=ext_const,
         )
-        if axes is None:
-            return interior
         checksums: ChecksumMap = {
             int(a): interior.sum(axis=int(a), dtype=checksum_dtype)
             for a in axes
@@ -695,6 +653,64 @@ class Backend(ABC):
             )
         return k, radius, refresh, external
 
+    def _multi_step(
+        self,
+        src_padded: np.ndarray,
+        dst_padded: np.ndarray,
+        k: int,
+        spec: StencilSpec,
+        radius,
+        interior_shape: Sequence[int],
+        boundary,
+        constant: Optional[np.ndarray],
+        refresh_axes: Optional[Sequence[int]],
+        axes: Optional[Sequence[int]] = None,
+        checksum_dtype: Optional[np.dtype] = None,
+    ):
+        """The interpreted sub-step loop of both ``multi_step_into*`` forms.
+
+        Sub-steps run as single steps over the centered trapezoid views
+        of :meth:`_multi_step_views`.  With ``axes`` the final sub-step
+        is a full-buffer :meth:`step_into_with_checksums` instead (the
+        checksum carry) and its ``(interior, checksums)`` is returned.
+        """
+        k, radius, refresh, external = self._validate_multi_step(
+            k, spec, radius, src_padded.ndim, constant, refresh_axes
+        )
+        interior_shape = tuple(int(n) for n in interior_shape)
+        interior = None
+        for s in range(k):
+            cur, nxt = (
+                (src_padded, dst_padded) if s % 2 == 0 else (dst_padded, src_padded)
+            )
+            if axes is not None and s == k - 1:
+                return self.step_into_with_checksums(
+                    cur,
+                    nxt,
+                    spec,
+                    radius,
+                    interior_shape,
+                    boundary,
+                    axes,
+                    constant=constant,
+                    checksum_dtype=checksum_dtype,
+                    refresh_axes=refresh,
+                )
+            slices, view_radius, view_shape = self._multi_step_views(
+                s, k, spec, radius, interior_shape, external
+            )
+            interior = self.step_into(
+                cur[slices],
+                nxt[slices],
+                spec,
+                view_radius,
+                view_shape,
+                boundary,
+                constant=constant,
+                refresh_axes=refresh,
+            )
+        return interior
+
     def multi_step_into(
         self,
         src_padded: np.ndarray,
@@ -727,29 +743,10 @@ class Backend(ABC):
 
         Returns the final interior view (of whichever buffer holds it).
         """
-        k, radius, refresh, external = self._validate_multi_step(
-            k, spec, radius, src_padded.ndim, constant, refresh_axes
+        return self._multi_step(
+            src_padded, dst_padded, k, spec, radius, interior_shape, boundary,
+            constant, refresh_axes,
         )
-        interior_shape = tuple(int(n) for n in interior_shape)
-        interior = None
-        for s in range(k):
-            cur, nxt = (
-                (src_padded, dst_padded) if s % 2 == 0 else (dst_padded, src_padded)
-            )
-            slices, view_radius, view_shape = self._multi_step_views(
-                s, k, spec, radius, interior_shape, external
-            )
-            interior = self.step_into(
-                cur[slices],
-                nxt[slices],
-                spec,
-                view_radius,
-                view_shape,
-                boundary,
-                constant=constant,
-                refresh_axes=refresh,
-            )
-        return interior
 
     def multi_step_into_with_checksums(
         self,
@@ -773,41 +770,9 @@ class Backend(ABC):
         vectors equal the ones ``k`` single steps would have produced on
         the last step).
         """
-        k, radius, refresh, external = self._validate_multi_step(
-            k, spec, radius, src_padded.ndim, constant, refresh_axes
-        )
-        interior_shape = tuple(int(n) for n in interior_shape)
-        for s in range(k - 1):
-            cur, nxt = (
-                (src_padded, dst_padded) if s % 2 == 0 else (dst_padded, src_padded)
-            )
-            slices, view_radius, view_shape = self._multi_step_views(
-                s, k, spec, radius, interior_shape, external
-            )
-            self.step_into(
-                cur[slices],
-                nxt[slices],
-                spec,
-                view_radius,
-                view_shape,
-                boundary,
-                constant=constant,
-                refresh_axes=refresh,
-            )
-        cur, nxt = (
-            (src_padded, dst_padded) if (k - 1) % 2 == 0 else (dst_padded, src_padded)
-        )
-        return self.step_into_with_checksums(
-            cur,
-            nxt,
-            spec,
-            radius,
-            interior_shape,
-            boundary,
-            axes,
-            constant=constant,
-            checksum_dtype=checksum_dtype,
-            refresh_axes=refresh,
+        return self._multi_step(
+            src_padded, dst_padded, k, spec, radius, interior_shape, boundary,
+            constant, refresh_axes, axes=axes, checksum_dtype=checksum_dtype,
         )
 
     def warmup(

@@ -150,18 +150,17 @@ class FusedBackend(Backend):
         the sweep therefore accumulates into a persistent contiguous
         staging buffer and lands in the interior with one vectorised
         copy (~4% instead) — same operation order, bitwise-identical
-        result, still no per-step allocation.
+        result, still no per-step allocation.  The batched campaign
+        step's interior is strided as well and takes the same route.
+        Contiguous interiors and aliasing pairs use the base sweep.
         """
         interior = self._dst_interior(dst_padded, radius, interior_shape)
-        if np.may_share_memory(src_padded, dst_padded):
+        if interior.flags.c_contiguous or np.may_share_memory(
+            src_padded, dst_padded
+        ):
             return super().sweep_into(
                 src_padded, dst_padded, spec, radius, interior_shape,
                 constant=constant,
-            )
-        if interior.flags.c_contiguous:
-            return self.sweep_padded(
-                src_padded, spec, radius, interior_shape, constant=constant,
-                out=interior,
             )
         staging = self._scratch(interior.shape, interior.dtype, slot=1)
         self.sweep_padded(
@@ -170,45 +169,3 @@ class FusedBackend(Backend):
         )
         interior[...] = staging
         return interior
-
-    def batch_step_into(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Whole-batch step in one vectorised pass over the run axis.
-
-        The batched interior is strided, so :meth:`sweep_into` takes its
-        contiguous-staging route — the same operation order as the
-        strided single-run sweep, keeping each slot bitwise equal to a
-        single :meth:`step_into` on that slot.
-        """
-        return self._batch_step_vectorized(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes,
-        )
-
-    def batch_step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        return self._batch_step_vectorized(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes, axes=tuple(axes),
-            checksum_dtype=checksum_dtype,
-        )

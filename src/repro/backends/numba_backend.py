@@ -22,15 +22,15 @@ compiled path.  Aliasing buffer pairs are handled *inside* the backend
 by staging through a cached scratch buffer — still the compiled kernel,
 never an interpreted fallback.
 
-* ``sweep_padded`` / ``sweep_into`` — generated sweeps (2D and 3D,
-  offsets unrolled, weights as a pre-cast runtime vector, optional
-  constant term), accumulating in the domain dtype in the same order as
-  the ``numpy`` reference — the swept interior is bit-identical to it.
-* ``sweep_with_checksums`` / ``sweep_into_with_checksums`` — the same
-  traversal also folds each freshly computed value into its row and
-  column partials (``cs1`` indexed by the parallel loop variable,
-  ``cs0`` merged by a parfor array reduction over thread-private
-  partials).
+* ``sweep_padded`` — generated sweeps (2D and 3D, offsets unrolled,
+  weights as a pre-cast runtime vector, optional constant term),
+  accumulating in the domain dtype in the same order as the ``numpy``
+  reference — the swept interior is bit-identical to it.  The base
+  ``sweep_into`` runs it straight into the destination interior.
+* ``sweep_with_checksums`` — the same traversal also folds each freshly
+  computed value into its row and column partials (``cs1`` indexed by
+  the parallel loop variable, ``cs0`` merged by a parfor array
+  reduction over thread-private partials).
 * ``step_into`` / ``step_into_with_checksums`` — the backend *owns the
   ghost refresh* (see :meth:`~repro.backends.base.Backend.supports_fused_step`):
   one compiled call re-fills the source halo (bit-identical to
@@ -184,7 +184,7 @@ class NumbaBackend(Backend):
         return out
 
     def _staging_buffer(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """Cached padded-shape scratch for aliasing ``step_into`` pairs."""
+        """Cached padded-shape scratch for aliasing (batched) step pairs."""
         key = (tuple(int(n) for n in shape), np.dtype(dtype).str)
         buf = self._staging.get(key)
         if buf is None:
@@ -244,54 +244,6 @@ class NumbaBackend(Backend):
             *interior_shape, const, cs_like,
         )
         return out, self._select_axes(cs0, cs1, axes)
-
-    # -- zero-copy forms -----------------------------------------------------
-    def sweep_into(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        interior = self._dst_interior(dst_padded, radius, interior_shape)
-        if np.may_share_memory(src_padded, dst_padded):
-            # Writing the interior while the sweep still reads the source
-            # would corrupt the result; run the compiled sweep into a
-            # fresh buffer and copy it over afterwards.
-            interior[...] = self.sweep_padded(
-                src_padded, spec, radius, interior_shape, constant=constant
-            )
-            return interior
-        return self.sweep_padded(
-            src_padded, spec, radius, interior_shape, constant=constant,
-            out=interior,
-        )
-
-    def sweep_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        interior = self._dst_interior(dst_padded, radius, interior_shape)
-        if np.may_share_memory(src_padded, dst_padded):
-            new, checksums = self.sweep_with_checksums(
-                src_padded, spec, radius, interior_shape, axes,
-                constant=constant, checksum_dtype=checksum_dtype,
-            )
-            interior[...] = new
-            return interior, checksums
-        return self.sweep_with_checksums(
-            src_padded, spec, radius, interior_shape, axes,
-            constant=constant, out=interior, checksum_dtype=checksum_dtype,
-        )
 
     # -- backend-owned fused steps -------------------------------------------
     def supports_fused_step(
@@ -425,20 +377,19 @@ class NumbaBackend(Backend):
         constant: Optional[np.ndarray] = None,
         refresh_axes: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        if np.may_share_memory(src_padded, dst_padded):
-            # Aliasing batched pair: the base loop-over-slots delegates
-            # to this backend's own step_into, which stages internally —
-            # every slot still runs a compiled kernel.
-            return super().batch_step_into(
-                src_padded, dst_padded, spec, radius, interior_shape,
-                boundary, constant=constant, refresh_axes=refresh_axes,
-            )
         shape, radius, nb, kernels, wts, const, fills = self._batch_args(
             src_padded, dst_padded, spec, radius, interior_shape, boundary,
             constant, refresh_axes,
         )
+        interior = interior_view(dst_padded, radius + (0,))
+        if np.may_share_memory(src_padded, dst_padded):
+            # Aliasing batched pair: stage exactly like step_into.
+            stage = self._staging_buffer(src_padded.shape, src_padded.dtype)
+            kernels.bstep(src_padded, stage, wts, *shape, nb, const, fills)
+            interior[...] = interior_view(stage, radius + (0,))
+            return interior
         kernels.bstep(src_padded, dst_padded, wts, *shape, nb, const, fills)
-        return interior_view(dst_padded, radius + (0,))
+        return interior
 
     def batch_step_into_with_checksums(
         self,
@@ -453,24 +404,23 @@ class NumbaBackend(Backend):
         checksum_dtype: Optional[np.dtype] = None,
         refresh_axes: Optional[Sequence[int]] = None,
     ) -> Tuple[np.ndarray, ChecksumMap]:
-        if np.may_share_memory(src_padded, dst_padded):
-            return super().batch_step_into_with_checksums(
-                src_padded, dst_padded, spec, radius, interior_shape,
-                boundary, axes, constant=constant,
-                checksum_dtype=checksum_dtype, refresh_axes=refresh_axes,
-            )
         shape, radius, nb, kernels, wts, const, fills = self._batch_args(
             src_padded, dst_padded, spec, radius, interior_shape, boundary,
             constant, refresh_axes,
         )
+        interior = interior_view(dst_padded, radius + (0,))
         cs_like = self._checksum_like(checksum_dtype, src_padded.dtype)
+        if np.may_share_memory(src_padded, dst_padded):
+            stage = self._staging_buffer(src_padded.shape, src_padded.dtype)
+            cs0, cs1 = kernels.bstep_cs(
+                src_padded, stage, wts, *shape, nb, const, fills, cs_like
+            )
+            interior[...] = interior_view(stage, radius + (0,))
+            return interior, self._select_axes(cs0, cs1, axes)
         cs0, cs1 = kernels.bstep_cs(
             src_padded, dst_padded, wts, *shape, nb, const, fills, cs_like
         )
-        return (
-            interior_view(dst_padded, radius + (0,)),
-            self._select_axes(cs0, cs1, axes),
-        )
+        return interior, self._select_axes(cs0, cs1, axes)
 
     # -- temporal blocking: compiled k-step kernels ---------------------------
     def _multi_step_args(

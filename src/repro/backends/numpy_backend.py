@@ -8,7 +8,7 @@ domain (the unfused shape every optimised backend is validated against).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,28 +23,6 @@ class NumpyBackend(Backend):
     """Reference backend: allocating accumulation, unfused checksums."""
 
     name = "numpy"
-
-    def sweep_into(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        interior = self._dst_interior(dst_padded, radius, interior_shape)
-        if np.may_share_memory(src_padded, dst_padded):
-            # Writing the interior while the sweep still reads the source
-            # would corrupt the accumulation; take the copy-based route.
-            return super().sweep_into(
-                src_padded, dst_padded, spec, radius, interior_shape,
-                constant=constant,
-            )
-        return self.sweep_padded(
-            src_padded, spec, radius, interior_shape, constant=constant,
-            out=interior,
-        )
 
     def sweep_padded(
         self,
@@ -72,39 +50,3 @@ class NumpyBackend(Backend):
             # preallocated scratch buffer.
             out += np.asarray(weight, dtype=dtype) * view
         return out
-
-    def batch_step_into(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Whole-batch step as one vectorised pass over the run axis."""
-        return self._batch_step_vectorized(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes,
-        )
-
-    def batch_step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        return self._batch_step_vectorized(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes, axes=tuple(axes),
-            checksum_dtype=checksum_dtype,
-        )

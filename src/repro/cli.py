@@ -308,11 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign cannot take it), replay forces the per-run legacy path",
     )
     camp.add_argument(
-        "--stacked-width", type=int, default=None, metavar="N",
-        help="cap on the stacked batch width (default: "
-        "REPRO_STACKED_WIDTH, else 32)",
-    )
-    camp.add_argument(
         "--backend", choices=available_backends(), default=None,
         help="compute backend for the sweeps",
     )
@@ -492,7 +487,6 @@ def _run_campaign_cli(args) -> int:
         inject=(args.scenario == "single-bit-flip"),
         seed=args.seed,
         fault_model=fault_model,
-        stacked_width=args.stacked_width,
     )
     with CampaignEngine(batch_size=args.batch) as engine:
         start = time.perf_counter()

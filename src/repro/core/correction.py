@@ -34,7 +34,15 @@ import numpy as np
 from repro.core.checksums import patch_checksum
 from repro.core.detection import DetectionResult
 
-__all__ = ["CorrectionRecord", "match_detections", "correct_errors"]
+__all__ = [
+    "CORRECTION_STRATEGIES",
+    "CorrectionRecord",
+    "match_detections",
+    "correct_errors",
+]
+
+#: Which checksum estimate :func:`correct_errors` writes back.
+CORRECTION_STRATEGIES = ("average", "row", "column")
 
 
 @dataclass
@@ -206,8 +214,11 @@ def correct_errors(
     -------
     list of CorrectionRecord
     """
-    if strategy not in ("average", "row", "column"):
-        raise ValueError(f"unknown correction strategy {strategy!r}")
+    if strategy not in CORRECTION_STRATEGIES:
+        raise ValueError(
+            f"unknown correction strategy {strategy!r}; expected one of "
+            f"{CORRECTION_STRATEGIES}"
+        )
     records: List[CorrectionRecord] = []
     ndim = u.ndim
     for loc in locations:

@@ -28,7 +28,11 @@ import numpy as np
 from repro.backends import ChecksumMap, get_backend
 from repro.backends.registry import BackendLike
 from repro.core.checksums import constant_checksum
-from repro.core.correction import correct_errors, match_detections
+from repro.core.correction import (
+    CORRECTION_STRATEGIES,
+    correct_errors,
+    match_detections,
+)
 from repro.core.detection import detect_errors
 from repro.core.interpolation import interpolate_checksum_padded
 from repro.core.protector import InjectHook, Protector, StepReport
@@ -144,6 +148,11 @@ class OnlineABFT(Protector):
     ) -> None:
         if verify_axis not in (0, 1):
             raise ValueError("verify_axis must be 0 (column) or 1 (row)")
+        if correction_strategy not in CORRECTION_STRATEGIES:
+            raise ValueError(
+                f"unknown correction strategy {correction_strategy!r}; "
+                f"expected one of {CORRECTION_STRATEGIES}"
+            )
         self.spec = spec
         self.boundary = BoundarySpec.from_any(boundary, spec.ndim)
         self.shape = tuple(int(n) for n in shape)

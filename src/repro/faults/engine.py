@@ -116,9 +116,7 @@ from repro.stencil.shift import interior_view
 
 __all__ = [
     "CampaignEngine",
-    "STACKED_WIDTH_ENV_VAR",
     "draw_fault_plans",
-    "resolve_stacked_width",
     "stacked_support_reason",
     "stacked_supported",
 ]
@@ -144,16 +142,12 @@ _DEFAULT_CHAOS_TIMEOUT = 30.0
 #: campaign configurations does not accumulate stacked buffer pairs.
 _STATE_CACHE_MAX = 4
 
-#: Environment variable overriding the stacked batch-width cap (lowest
-#: precedence is the built-in default; ``CampaignConfig.stacked_width``
-#: wins over both).
-STACKED_WIDTH_ENV_VAR = "REPRO_STACKED_WIDTH"
-
-#: Default cap on the stacked batch width.  Wider batches amortise the
+#: Cap on the automatic stacked batch width (``CampaignEngine(batch_size=)``
+#: sets the width explicitly).  Wider batches amortise the
 #: per-call/per-kernel-launch overhead further but grow the persistent
 #: buffer pair linearly; 32 runs of the paper's 64x64x8 tile keep the
 #: pair ~11 MB.
-_DEFAULT_STACKED_WIDTH = 32
+_STACKED_WIDTH = 32
 
 #: Signature of a per-run hook factory (sensitivity-style experiments):
 #: called in the parent, in run order, so stateful RNG draws match the
@@ -185,32 +179,6 @@ def draw_fault_plans(
             fault_model.draw(rng, shape, config.iterations, dtype=dtype)
         )
     return plans
-
-
-def resolve_stacked_width(config: Optional[CampaignConfig] = None) -> int:
-    """Resolve the stacked batch-width cap.
-
-    Precedence: ``config.stacked_width`` (when set) over the
-    ``REPRO_STACKED_WIDTH`` environment variable over the built-in
-    default of 32.  The width is a pure throughput knob — records are
-    bitwise-independent of it.
-    """
-    if config is not None and config.stacked_width is not None:
-        return int(config.stacked_width)
-    env = os.environ.get(STACKED_WIDTH_ENV_VAR)
-    if env:
-        try:
-            width = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{STACKED_WIDTH_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-        if width < 1:
-            raise ValueError(
-                f"{STACKED_WIDTH_ENV_VAR} must be >= 1, got {width}"
-            )
-        return width
-    return _DEFAULT_STACKED_WIDTH
 
 
 def _resolved_backend(grid: GridBase, protector: Protector):
@@ -955,12 +923,12 @@ class CampaignEngine:
         ).hexdigest()[:12]
         return f"{meta.key_prefix}-i{config.iterations}-r{digest}"
 
-    def _auto_batch(self, repetitions: int, config: CampaignConfig) -> int:
+    def _auto_batch(self, repetitions: int) -> int:
         if self.batch_size is not None:
             return min(self.batch_size, repetitions)
         workers = getattr(self.executor, "workers", 1) or 1
         spread = -(-repetitions // workers)  # ceil
-        return max(1, min(resolve_stacked_width(config), spread))
+        return max(1, min(_STACKED_WIDTH, spread))
 
     def run(
         self,
@@ -1055,7 +1023,7 @@ class CampaignEngine:
             reference=np.asarray(reference),
         )
         key = self._campaign_key(meta, config, payload.reference)
-        batch = self._auto_batch(config.repetitions, config)
+        batch = self._auto_batch(config.repetitions)
         tasks: List[_BatchTask] = []
         for start in range(0, config.repetitions, batch):
             stop = min(start + batch, config.repetitions)

@@ -21,16 +21,14 @@ The implementation is split into small modules:
     removes the per-iteration full-domain copy (optionally backed by
     ``multiprocessing.shared_memory`` for the process-pool executor).
 ``sweep``
-    The generic N-dimensional padded sweep operator (plus the fused
-    ``sweep_with_checksums`` and zero-copy ``sweep_into`` primitives).
-    All dispatch to the pluggable compute backends of
-    :mod:`repro.backends`.
-``sweep2d`` / ``sweep3d``
-    Dimension-checked convenience wrappers.
+    One-shot sweeps: ``sweep`` (closed boundary, any dimension) and
+    ``sweep_padded`` (caller-filled ghosts), dispatched to the pluggable
+    compute backends of :mod:`repro.backends`.
 ``reference``
     Deliberately naive loop implementations used as test oracles.
 ``grid``
-    :class:`Grid2D` / :class:`Grid3D` — double-buffered domain state.
+    :class:`Grid2D` / :class:`Grid3D` — double-buffered domain state,
+    stepped through the backend's ``step_into*`` primitives.
 ``kernels``
     A library of named stencils (Jacobi, 5/9-point, 7/27-point, ...).
 """
@@ -45,9 +43,7 @@ from repro.stencil.shift import (
     shifted_view,
 )
 from repro.stencil.doublebuffer import DoubleBufferedGrid
-from repro.stencil.sweep import sweep_padded, sweep, sweep_into, sweep_with_checksums
-from repro.stencil.sweep2d import sweep2d
-from repro.stencil.sweep3d import sweep3d
+from repro.stencil.sweep import sweep_padded, sweep
 from repro.stencil.grid import Grid2D, Grid3D, GridBase
 from repro.stencil import kernels
 
@@ -64,10 +60,6 @@ __all__ = [
     "DoubleBufferedGrid",
     "sweep_padded",
     "sweep",
-    "sweep_into",
-    "sweep_with_checksums",
-    "sweep2d",
-    "sweep3d",
     "Grid2D",
     "Grid3D",
     "GridBase",

@@ -11,11 +11,13 @@ step-``t`` checksums **and** a thin strip of step-``t`` boundary values
 every sweep.
 
 Storage is a persistent padded buffer pair
-(:class:`~repro.stencil.doublebuffer.DoubleBufferedGrid`): each sweep
-refreshes only the ghost cells of the front buffer in place and writes
-the new interior straight into the back buffer through the backend's
-``sweep_into`` primitive, then the pair swaps.  No full-domain copy is
-made per iteration.  Consequences callers must respect:
+(:class:`~repro.stencil.doublebuffer.DoubleBufferedGrid`): each step
+hands the pair to the backend's ``step_into`` /
+``step_into_with_checksums`` primitive (``multi_step_into*`` for a
+blocked window), which refreshes only the ghost cells of the front
+buffer in place and writes the new interior straight into the back
+buffer; then the pair swaps.  No full-domain copy is made per iteration.
+Consequences callers must respect:
 
 * ``grid.u``, ``grid.previous`` and ``grid.previous_padded`` are views
   into the pair.  ``previous``/``previous_padded`` stay valid until the
@@ -72,9 +74,6 @@ class GridBase:
     constant:
         Optional per-point constant term :math:`C` added at every sweep
         (heat source, power map, ...). Same shape as the domain.
-    copy:
-        Kept for API compatibility; the buffer pair always copies
-        ``initial``, so this flag has no aliasing effect any more.
     backend:
         Compute backend executing the sweeps: a registry name, a
         :class:`~repro.backends.base.Backend` instance, or ``None`` to
@@ -89,7 +88,6 @@ class GridBase:
         spec: StencilSpec,
         boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
         constant: Optional[np.ndarray] = None,
-        copy: bool = True,
         backend: BackendLike = None,
     ) -> None:
         u = np.asarray(initial)
@@ -201,44 +199,24 @@ class GridBase:
         self.buffers.close()
         self.u = self.buffers.interior
 
-    def step(
-        self, padded: Optional[np.ndarray] = None, backend: BackendLike = None
-    ) -> np.ndarray:
+    def step(self, backend: BackendLike = None) -> np.ndarray:
         """Advance one stencil sweep and return the new domain.
 
         The sweep writes the new interior directly into the back buffer;
-        no full-domain allocation is made.  When the grid reads its own
-        front buffer (``padded=None``) the whole iteration — ghost
-        refresh included — is delegated to the backend through
-        :meth:`DoubleBufferedGrid.step`, so a backend that fuses the
-        refresh into its compiled sweep performs the step in a single
-        traversal of the pair.
+        no full-domain allocation is made.  The whole iteration — ghost
+        refresh of the front buffer included — is delegated to the
+        backend through :meth:`DoubleBufferedGrid.step`, so a backend
+        that fuses the refresh into its compiled sweep performs the step
+        in a single traversal of the pair.
 
         Parameters
         ----------
-        padded:
-            Optional pre-built padded array (used by the parallel tile
-            runner, where ghost cells carry halo data from neighbouring
-            tiles instead of a closed boundary condition). When omitted
-            the grid refreshes and reads its own front buffer.
         backend:
             Optional backend override for this step only (``None`` →
             the grid's own backend).
         """
         be = self.backend if backend is None else get_backend(backend)
-        if padded is None:
-            padded, new, _ = self.buffers.step(
-                be, self.spec, constant=self.constant
-            )
-        else:
-            new = be.sweep_into(
-                padded,
-                self.buffers.back,
-                self.spec,
-                self.radius,
-                self.shape,
-                constant=self.constant,
-            )
+        padded, new, _ = self.buffers.step(be, self.spec, constant=self.constant)
         self._commit(padded, None)
         return new
 
@@ -246,7 +224,6 @@ class GridBase:
         self,
         axes: Sequence[int],
         checksum_dtype: Optional[np.dtype] = None,
-        padded: Optional[np.ndarray] = None,
         backend: BackendLike = None,
     ) -> Tuple[np.ndarray, ChecksumMap]:
         """Advance one sweep and return the new domain plus its checksums.
@@ -254,9 +231,9 @@ class GridBase:
         Delegates to the backend's fused sweep+checksum primitive, so the
         verified checksum is produced by the sweep itself (the paper's
         fused kernel) instead of a separate pass.  The checksums are also
-        stored in :attr:`last_checksums`.  As with :meth:`step`, a grid
-        reading its own front buffer hands the *whole* iteration (ghost
-        refresh, sweep and checksums) to the backend in one call.
+        stored in :attr:`last_checksums`.  As with :meth:`step`, the
+        *whole* iteration (ghost refresh, sweep and checksums) goes to
+        the backend in one call.
 
         Parameters
         ----------
@@ -264,29 +241,17 @@ class GridBase:
             Reduction axes to checksum (subset of ``(0, 1)``).
         checksum_dtype:
             Accumulation dtype of the checksums (``None`` → domain dtype).
-        padded, backend:
+        backend:
             As for :meth:`step`.
         """
         be = self.backend if backend is None else get_backend(backend)
-        if padded is None:
-            padded, new, checksums = self.buffers.step(
-                be,
-                self.spec,
-                constant=self.constant,
-                axes=axes,
-                checksum_dtype=checksum_dtype,
-            )
-        else:
-            new, checksums = be.sweep_into_with_checksums(
-                padded,
-                self.buffers.back,
-                self.spec,
-                self.radius,
-                self.shape,
-                axes,
-                constant=self.constant,
-                checksum_dtype=checksum_dtype,
-            )
+        padded, new, checksums = self.buffers.step(
+            be,
+            self.spec,
+            constant=self.constant,
+            axes=axes,
+            checksum_dtype=checksum_dtype,
+        )
         self._commit(padded, checksums)
         return new, checksums
 
@@ -380,10 +345,11 @@ class GridBase:
     ) -> None:
         """Swap the buffer pair after a sweep into the back buffer.
 
-        ``padded_src`` is the padded array the sweep read (the front
-        buffer, or an externally halo-filled array); it becomes
-        :attr:`previous_padded` and stays valid until the next step
-        reclaims its buffer as the sweep target.
+        ``padded_src`` is the padded front buffer the sweep read; it
+        becomes :attr:`previous_padded` and stays valid until the next
+        step reclaims its buffer as the sweep target.  The tiled runner
+        sweeps its tiles into the back buffer itself and then commits
+        through this method.
         """
         self._previous = self.u
         self._previous_padded = padded_src
@@ -429,7 +395,6 @@ class GridBase:
             self.spec,
             self.boundary,
             constant=None if self.constant is None else self.constant.copy(),
-            copy=True,
             backend=self.backend_spec,
         )
         clone.iteration = self.iteration

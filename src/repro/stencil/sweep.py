@@ -7,31 +7,30 @@ Implements Equation (1) of the paper,
     u^{(t+1)}_{x,y} = C_{x,y} + \\sum_{\\{i,j,w\\} \\in S} w \\cdot u^{(t)}_{x+i,y+j},
 
 as a vectorised accumulation of shifted views over a ghost-padded array.
-The padded form (:func:`sweep_padded`) is the primitive shared with the
-parallel tile runner, which fills the ghost cells with halo data instead
-of a closed boundary condition.
+The padded form (:func:`sweep_padded`) sweeps ghost cells the caller has
+filled, e.g. with halo data instead of a closed boundary condition.
 
 The actual arithmetic lives in the pluggable compute backends
-(:mod:`repro.backends`); the functions here are thin dispatchers that
-resolve the active backend and delegate, so every caller — grids,
-protectors, the tiled runner, the baselines — picks up the selected
-backend transparently.  :func:`sweep_with_checksums` exposes the fused
-sweep+checksum primitive at the same level.
+(:mod:`repro.backends`); these one-shot functions resolve the active
+backend and delegate to its ``sweep_padded``.  Iterative callers step a
+:class:`~repro.stencil.grid.Grid2D` / :class:`~repro.stencil.grid.Grid3D`
+instead, whose persistent buffer pair goes through the backend's
+``step_into*`` primitives with no full-domain copy.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backends import ChecksumMap, get_backend
+from repro.backends import get_backend
 from repro.backends.registry import BackendLike
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import pad_array
 from repro.stencil.spec import StencilSpec
 
-__all__ = ["sweep_padded", "sweep", "sweep_into", "sweep_with_checksums"]
+__all__ = ["sweep_padded", "sweep"]
 
 
 def sweep_padded(
@@ -75,59 +74,6 @@ def sweep_padded(
     )
 
 
-def sweep_into(
-    src_padded: np.ndarray,
-    dst_padded: np.ndarray,
-    spec: StencilSpec,
-    radius,
-    interior_shape: Sequence[int],
-    constant: Optional[np.ndarray] = None,
-    backend: BackendLike = None,
-) -> np.ndarray:
-    """One sweep from one padded buffer into the interior of another.
-
-    The zero-copy primitive of the double-buffered halo pipeline
-    (:mod:`repro.stencil.doublebuffer`): no full-domain array is
-    allocated; the new step is written into ``dst_padded``'s interior
-    block and returned as a view.  Backends without an in-place kernel
-    fall back to sweep-then-copy transparently.
-    """
-    return get_backend(backend).sweep_into(
-        src_padded, dst_padded, spec, radius, interior_shape, constant=constant
-    )
-
-
-def sweep_with_checksums(
-    padded: np.ndarray,
-    spec: StencilSpec,
-    radius,
-    interior_shape: Sequence[int],
-    axes: Sequence[int],
-    constant: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
-    checksum_dtype: Optional[np.dtype] = None,
-    backend: BackendLike = None,
-) -> Tuple[np.ndarray, ChecksumMap]:
-    """One sweep that also returns the checksum(s) of the new interior.
-
-    This is the paper's fused kernel shape: the verified checksum is
-    produced together with the sweep instead of by an independent pass.
-    ``axes`` selects the reduction axes (0 → column checksum ``b``,
-    1 → row checksum ``a``); the result is
-    ``(new_interior, {axis: checksum_vector})``.
-    """
-    return get_backend(backend).sweep_with_checksums(
-        padded,
-        spec,
-        radius,
-        interior_shape,
-        axes,
-        constant=constant,
-        out=out,
-        checksum_dtype=checksum_dtype,
-    )
-
-
 def sweep(
     u: np.ndarray,
     spec: StencilSpec,
@@ -138,8 +84,10 @@ def sweep(
 ) -> np.ndarray:
     """Apply one stencil sweep to an interior domain with a boundary condition.
 
-    This is the closed-boundary convenience form: it pads ``u`` according
-    to ``boundary`` and delegates to :func:`sweep_padded`.
+    This is the closed-boundary convenience form for 2D and 3D domains
+    alike: it pads a fresh copy of ``u`` according to ``boundary`` and
+    delegates to :func:`sweep_padded`.  The domain and the stencil must
+    have the same number of dimensions.
     """
     if u.ndim != spec.ndim:
         raise ValueError(

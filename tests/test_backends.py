@@ -33,7 +33,6 @@ from repro.faults.injector import FaultInjector, FaultPlan
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.shift import pad_array
-from repro.stencil.sweep import sweep_with_checksums
 
 REFERENCE = "numpy"
 
@@ -211,66 +210,76 @@ class TestSweepInto:
                 padded, np.empty((5, 5), np.float32), spec, radius, SHAPE_2D
             )
 
-    def test_sweep_into_with_checksums_matches_posthoc(self, rng, backend_name):
-        from repro.stencil.shift import padded_shape
-
-        spec = stencil_library_2d()[1]
-        u = _domain(rng, SHAPE_2D)
-        radius = spec.radius()
-        padded = pad_array(u, radius, BoundaryCondition.clamp())
-        dst = np.empty(padded_shape(SHAPE_2D, radius), dtype=np.float32)
-        new, cs = get_backend(backend_name).sweep_into_with_checksums(
-            padded, dst, spec, radius, SHAPE_2D, (0, 1), checksum_dtype=np.float64
-        )
-        for axis in (0, 1):
-            # The accumulation *order* is backend-owned: a per-point fused
-            # kernel sums sequentially while numpy.sum reduces pairwise,
-            # so the float64 results agree to a few ULPs rather than bit
-            # for bit — orders of magnitude inside the detection epsilon.
-            assert _relative_mismatch(
-                cs[axis], checksum(new, axis, dtype=np.float64)
-            ) <= 1e-10
-
-    def test_module_dispatcher(self, rng):
-        from repro.stencil.shift import padded_shape
-        from repro.stencil.sweep import sweep_into
-
-        spec = stencil_library_2d()[1]
-        u = _domain(rng, SHAPE_2D)
-        radius = spec.radius()
-        padded = pad_array(u, radius, BoundaryCondition.clamp())
-        dst = np.empty(padded_shape(SHAPE_2D, radius), dtype=np.float32)
-        result = sweep_into(padded, dst, spec, radius, SHAPE_2D, backend="fused")
-        np.testing.assert_array_equal(
-            result,
-            get_backend("numpy").sweep_padded(padded, spec, radius, SHAPE_2D),
-        )
-
-    def test_copy_fallback_for_minimal_backend(self, rng):
-        """A backend providing only sweep_padded still lands in dst."""
-        from repro.stencil.shift import interior_view, padded_shape
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "sweep_into",
+            "step_into",
+            "step_into_with_checksums",
+            "batch_step_into",
+            "batch_step_into_with_checksums",
+            "batch_step_into-aliasing",
+            "batch_step_into_with_checksums-aliasing",
+            "multi_step_into-k3",
+        ],
+    )
+    def test_copy_fallback_for_minimal_backend(self, rng, entry):
+        """A backend providing only sweep_padded runs every interpreted
+        entry point through the base class, lands in dst and matches the
+        numpy reference bitwise — aliasing batched pairs included."""
 
         class MinimalBackend(Backend):
             name = "minimal-test"
 
             def sweep_padded(self, padded, spec, radius, interior_shape,
                              constant=None, out=None):
-                # Deliberately ignores ``out`` — the fallback must copy.
+                # Deliberately ignores ``out`` — the base must copy.
                 return get_backend(REFERENCE).sweep_padded(
                     padded, spec, radius, interior_shape, constant=constant
                 )
 
+        method, _, variant = entry.partition("-")
         spec = stencil_library_2d()[1]
-        u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
-        padded = pad_array(u, radius, BoundaryCondition.clamp())
-        dst = np.full(padded_shape(SHAPE_2D, radius), np.nan, dtype=np.float32)
-        result = MinimalBackend().sweep_into(padded, dst, spec, radius, SHAPE_2D)
-        np.testing.assert_array_equal(
-            interior_view(dst, radius),
-            get_backend(REFERENCE).sweep_padded(padded, spec, radius, SHAPE_2D),
-        )
-        assert np.shares_memory(result, dst)
+        bc = BoundaryCondition.clamp()
+        const = (rng.random(SHAPE_2D) * 0.1).astype(np.float32)
+        src0 = pad_array(_domain(rng, SHAPE_2D), radius, bc)
+        if method.startswith("batch"):
+            src0 = np.stack(
+                [pad_array(_domain(rng, SHAPE_2D), radius, bc) for _ in range(3)],
+                axis=-1,
+            )
+        args = {
+            "sweep_into": (spec, radius, SHAPE_2D),
+            "step_into": (spec, radius, SHAPE_2D, bc),
+            "step_into_with_checksums": (spec, radius, SHAPE_2D, bc, (0, 1)),
+            "batch_step_into": (spec, radius, SHAPE_2D, bc),
+            "batch_step_into_with_checksums": (
+                spec, radius, SHAPE_2D, bc, (0, 1)
+            ),
+            "multi_step_into": (3, spec, radius, SHAPE_2D, bc),
+        }[method]
+        kwargs = {"constant": const}
+        if method.endswith("_with_checksums"):
+            kwargs["checksum_dtype"] = np.float64
+
+        def run(be, aliasing):
+            src = src0.copy()
+            dst = src if aliasing else np.full(src.shape, np.nan, np.float32)
+            out = getattr(be, method)(src, dst, *args, **kwargs)
+            result, cs = out if isinstance(out, tuple) else (out, {})
+            assert np.shares_memory(result, dst)
+            return result.copy(), cs, src
+
+        want, want_cs, want_src = run(get_backend(REFERENCE), False)
+        got, got_cs, got_src = run(MinimalBackend(), variant == "aliasing")
+        np.testing.assert_array_equal(got, want)
+        assert set(got_cs) == set(want_cs)
+        for axis in want_cs:
+            np.testing.assert_array_equal(got_cs[axis], want_cs[axis])
+        if variant != "aliasing":
+            # The refreshed source halo matches too (the protectors read it).
+            np.testing.assert_array_equal(got_src, want_src)
 
 
 class TestFusedChecksums:
@@ -295,18 +304,6 @@ class TestFusedChecksums:
             posthoc = checksum(new, axis, dtype=checksum_dtype)
             eps = recommend_epsilon(shape, axis, np.float32, spec)
             assert _relative_mismatch(cs[axis], posthoc) <= eps
-
-    def test_sweep_with_checksums_dispatcher(self, rng, backend_name):
-        spec = stencil_library_2d()[1]
-        u = _domain(rng, SHAPE_2D)
-        padded = pad_array(u, spec.radius(), BoundaryCondition.clamp())
-        new, cs = sweep_with_checksums(
-            padded, spec, spec.radius(), SHAPE_2D, (0,), backend=backend_name
-        )
-        # dtype=None accumulates in float32, where the backend-owned
-        # accumulation order (sequential per point vs numpy's pairwise
-        # reduction) is visible at ~1e-7 relative — far below epsilon.
-        np.testing.assert_allclose(cs[0], checksum(new, 0, dtype=None), rtol=1e-6)
 
 
 class TestGridAndProtectorAcrossBackends:
@@ -549,6 +546,58 @@ class TestBackendOwnedStep:
         interior = interior_view(prev, grid.radius)
         np.testing.assert_array_equal(prev[0, 1:-1], interior[0])
         np.testing.assert_array_equal(prev[-1, 1:-1], interior[-1])
+
+
+class TestBatchedStep:
+    """``batch_step_into*`` on every built-in backend: slot ``b`` must be
+    bit-identical to a single ``step_into*`` on run ``b`` — interior,
+    refreshed source halo and checksums — with heterogeneous per-axis
+    boundaries, a shared constant, and for aliasing pairs too."""
+
+    @pytest.mark.parametrize("aliasing", [False, True], ids=["pair", "aliasing"])
+    @pytest.mark.parametrize("with_cs", [False, True], ids=["plain", "checksums"])
+    @pytest.mark.parametrize("ndim", [2, 3], ids=["2d", "3d"])
+    def test_slots_match_single_steps(
+        self, rng, backend_name, ndim, with_cs, aliasing
+    ):
+        be = get_backend(backend_name)
+        spec = (stencil_library_2d() if ndim == 2 else stencil_library_3d())[1]
+        shape = SHAPE_2D if ndim == 2 else SHAPE_3D
+        boundary = _mixed_boundaries(ndim)[0]
+        radius = spec.radius()
+        const = (rng.random(shape) * 0.1).astype(np.float32)
+        singles = [_fresh_pair(_domain(rng, shape), radius)[0] for _ in range(3)]
+
+        bsrc = np.stack(singles, axis=-1)
+        bdst = bsrc if aliasing else np.full(bsrc.shape, np.nan, np.float32)
+        if with_cs:
+            got, cs = be.batch_step_into_with_checksums(
+                bsrc, bdst, spec, radius, shape, boundary, (0, 1),
+                constant=const, checksum_dtype=np.float64,
+            )
+        else:
+            got = be.batch_step_into(
+                bsrc, bdst, spec, radius, shape, boundary, constant=const
+            )
+        assert np.shares_memory(got, bdst)
+        assert got.shape == shape + (3,)
+
+        for b, single in enumerate(singles):
+            src, dst = single.copy(), np.full(single.shape, np.nan, np.float32)
+            if with_cs:
+                want, want_cs = be.step_into_with_checksums(
+                    src, dst, spec, radius, shape, boundary, (0, 1),
+                    constant=const, checksum_dtype=np.float64,
+                )
+                for axis in (0, 1):
+                    np.testing.assert_array_equal(cs[axis][..., b], want_cs[axis])
+            else:
+                want = be.step_into(
+                    src, dst, spec, radius, shape, boundary, constant=const
+                )
+            np.testing.assert_array_equal(got[..., b], want)
+            if not aliasing:
+                np.testing.assert_array_equal(bsrc[..., b], src)
 
 
 class TestOptionalNumbaBackend:

@@ -532,62 +532,20 @@ class TestStrategyReporting:
 
 
 class TestStackedWidth:
-    def test_default_width(self, monkeypatch):
-        from repro.faults.engine import (
-            STACKED_WIDTH_ENV_VAR,
-            resolve_stacked_width,
-        )
+    def test_default_width(self):
+        with CampaignEngine(executor="serial") as engine:
+            assert engine._auto_batch(100) == 32
+            assert engine._auto_batch(5) == 5
 
-        monkeypatch.delenv(STACKED_WIDTH_ENV_VAR, raising=False)
-        assert resolve_stacked_width() == 32
-        assert resolve_stacked_width(
-            CampaignConfig(iterations=1, repetitions=1)
-        ) == 32
-
-    def test_env_override_and_config_precedence(self, monkeypatch):
-        from repro.faults.engine import (
-            STACKED_WIDTH_ENV_VAR,
-            resolve_stacked_width,
-        )
-
-        monkeypatch.setenv(STACKED_WIDTH_ENV_VAR, "7")
-        assert resolve_stacked_width() == 7
-        config = CampaignConfig(iterations=1, repetitions=1, stacked_width=5)
-        assert resolve_stacked_width(config) == 5
-
-    @pytest.mark.parametrize("bad", ["zero", "-2", "0"])
-    def test_invalid_env_values_raise(self, monkeypatch, bad):
-        from repro.faults.engine import (
-            STACKED_WIDTH_ENV_VAR,
-            resolve_stacked_width,
-        )
-
-        monkeypatch.setenv(STACKED_WIDTH_ENV_VAR, bad)
-        with pytest.raises(ValueError, match="REPRO_STACKED_WIDTH"):
-            resolve_stacked_width()
-
-    def test_config_validates_width(self):
-        with pytest.raises(ValueError, match="stacked_width"):
-            CampaignConfig(iterations=1, repetitions=1, stacked_width=0)
-
-    def test_width_caps_the_auto_batch(self, app, reference, monkeypatch):
-        from repro.faults.engine import STACKED_WIDTH_ENV_VAR
-
+    def test_batch_size_sets_the_stacked_width(self, app, reference):
         factory = make_protector_factory("online-abft")
-        config = CampaignConfig(
-            iterations=ITERATIONS, repetitions=6, seed=9, stacked_width=2
-        )
-        with CampaignEngine(executor="serial") as engine:
-            result = engine.run(
-                app.build_grid, factory, config, reference=reference
-            )
-        assert [b.width for b in result.batch_strategies] == [2, 2, 2]
-        # Env var path: picked up when the config does not pin a width.
-        monkeypatch.setenv(STACKED_WIDTH_ENV_VAR, "3")
-        config_env = CampaignConfig(iterations=ITERATIONS, repetitions=6, seed=9)
-        with CampaignEngine(executor="serial") as engine:
-            via_env = engine.run(
-                app.build_grid, factory, config_env, reference=reference
-            )
-        assert [b.width for b in via_env.batch_strategies] == [3, 3]
-        assert_equivalent(result, via_env)
+        config = CampaignConfig(iterations=ITERATIONS, repetitions=6, seed=9)
+        results = {}
+        for width in (2, 3):
+            with CampaignEngine(executor="serial", batch_size=width) as engine:
+                results[width] = engine.run(
+                    app.build_grid, factory, config, reference=reference
+                )
+        assert [b.width for b in results[2].batch_strategies] == [2, 2, 2]
+        assert [b.width for b in results[3].batch_strategies] == [3, 3]
+        assert_equivalent(results[2], results[3])

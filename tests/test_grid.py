@@ -6,7 +6,7 @@ import pytest
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D, GridSnapshot
 from repro.stencil.kernels import five_point_diffusion, seven_point_diffusion_3d
-from repro.stencil.sweep2d import sweep2d
+from repro.stencil.sweep import sweep
 
 
 class TestGridConstruction:
@@ -60,7 +60,7 @@ class TestGridConstruction:
 class TestGridStepping:
     def test_step_matches_sweep(self, small_grid_2d):
         g = small_grid_2d
-        expected = sweep2d(g.u.copy(), g.spec, g.boundary)
+        expected = sweep(g.u.copy(), g.spec, g.boundary)
         g.step()
         np.testing.assert_array_equal(g.u, expected)
 
@@ -90,13 +90,6 @@ class TestGridStepping:
         np.testing.assert_allclose(g.u, 1.0)
         g.step()
         np.testing.assert_allclose(g.u, 2.0, rtol=1e-6)
-
-    def test_step_with_external_padded(self, small_grid_2d):
-        g = small_grid_2d
-        padded = g.padded_current()
-        expected = sweep2d(g.u.copy(), g.spec, g.boundary)
-        g.step(padded=padded)
-        np.testing.assert_array_equal(g.u, expected)
 
     def test_3d_step(self, small_grid_3d):
         g = small_grid_3d

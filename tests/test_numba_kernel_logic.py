@@ -327,25 +327,33 @@ def test_batched_step_matches_per_slot_steps(
                 np.testing.assert_array_equal(cs[axis][..., b], want_cs[axis])
 
 
-def test_batched_aliasing_pair_falls_back_per_slot(interpreted_backend, rng):
-    """An aliasing src/dst batch takes the loop-over-slots base path (each
-    slot still a generated kernel), never corrupting the accumulation."""
+@pytest.mark.parametrize("with_cs", [False, True], ids=["plain", "checksums"])
+def test_batched_aliasing_pair_stages_through_scratch(
+    interpreted_backend, rng, with_cs
+):
+    """An aliasing src/dst batch runs the generated batched kernel into a
+    staging buffer, never corrupting the accumulation."""
     be = interpreted_backend
     spec = kernels.nine_point_smoothing()
     radius = spec.radius()
     u = _domain(rng, SHAPE_2D)
     src, _ = _poisoned_pair(u, radius)
     bsrc = np.stack([src, src.copy()], axis=-1)
-    want_src = bsrc.copy()
-    want = be.batch_step_into(
-        bsrc, np.full(bsrc.shape, np.nan, np.float32), spec, radius,
-        SHAPE_2D, BoundaryCondition.clamp(),
-    )
-    got = be.batch_step_into(
-        want_src, want_src, spec, radius, SHAPE_2D,
-        BoundaryCondition.clamp(),
-    )
+
+    def step(src, dst):
+        args = (src, dst, spec, radius, SHAPE_2D, BoundaryCondition.clamp())
+        if with_cs:
+            return be.batch_step_into_with_checksums(
+                *args, (0, 1), checksum_dtype=np.float64
+            )
+        return be.batch_step_into(*args), {}
+
+    want, want_cs = step(bsrc.copy(), np.full(bsrc.shape, np.nan, np.float32))
+    aliased = bsrc.copy()
+    got, got_cs = step(aliased, aliased)
     np.testing.assert_array_equal(got, want)
+    for axis in want_cs:
+        np.testing.assert_array_equal(got_cs[axis], want_cs[axis])
 
 
 def test_batched_warmup_runs_interpreted(interpreted_backend):

@@ -36,6 +36,13 @@ class TestOnlineConstruction:
         with pytest.raises(ValueError):
             OnlineABFT.for_grid(small_grid_2d, verify_axis=2)
 
+    def test_invalid_correction_strategy_rejected_at_construction(
+        self, small_grid_2d
+    ):
+        # Must fail here, not at the first detection deep inside a run.
+        with pytest.raises(ValueError, match="'bogus'.*average.*row.*column"):
+            OnlineABFT.for_grid(small_grid_2d, correction_strategy="bogus")
+
     def test_shape_stencil_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             OnlineABFT(five_point_diffusion(0.2), BoundarySpec.clamp(2), (4, 4, 4))
