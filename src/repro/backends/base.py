@@ -105,28 +105,6 @@ def _record_interpreted_step(backend: "Backend") -> None:
     _INTERPRETED_STEPS[name] = _INTERPRETED_STEPS.get(name, 0) + 1
 
 
-class _BatchedSpecView:
-    """Duck-typed view of a spec with a trailing zero offset appended.
-
-    :class:`~repro.stencil.spec.StencilSpec` only models 2D/3D
-    operators, but the interpreted sweeps consume nothing beyond the
-    ``(offset, weight)`` iteration — so the batched interpreted path
-    extends each offset with ``0`` along the run axis through this shim
-    instead of constructing an (impossible) higher-dimensional spec.
-    """
-
-    __slots__ = ("_points", "ndim")
-
-    def __init__(self, spec: StencilSpec) -> None:
-        self._points = tuple(
-            (tuple(offset) + (0,), weight) for offset, weight in spec
-        )
-        self.ndim = spec.ndim + 1
-
-    def __iter__(self):
-        return iter(self._points)
-
-
 class Backend(ABC):
     """Abstract compute backend: sweep, checksum and fused sweep+checksum."""
 
@@ -526,7 +504,7 @@ class Backend(ABC):
         return self.sweep_into(
             src_padded,
             dst_padded,
-            _BatchedSpecView(spec),
+            spec.batched(),
             ext_radius,
             ext_shape,
             constant=ext_const,
@@ -562,7 +540,7 @@ class Backend(ABC):
         interior = self.sweep_into(
             src_padded,
             dst_padded,
-            _BatchedSpecView(spec),
+            spec.batched(),
             ext_radius,
             ext_shape,
             constant=ext_const,

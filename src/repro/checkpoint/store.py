@@ -11,7 +11,7 @@ memory copy of the current state of the grid and of the checksums every
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -37,55 +37,36 @@ class Checkpoint:
 
 
 class InMemoryCheckpointStore:
-    """Bounded LIFO store of in-memory checkpoints.
+    """Single-slot store of the most recent in-memory checkpoint.
 
-    Parameters
-    ----------
-    max_checkpoints:
-        Maximum number of checkpoints kept alive; older ones are dropped.
-        The offline protector only ever needs the most recent verified
-        checkpoint, so the default of 1 reproduces the paper's behaviour
-        while larger values support multi-level rollback experiments.
+    The offline protector only ever rolls back to the most recent
+    verified checkpoint (the paper's behaviour), so saving a checkpoint
+    replaces the previous one.
     """
 
-    def __init__(self, max_checkpoints: int = 1) -> None:
-        if max_checkpoints < 1:
-            raise ValueError("max_checkpoints must be >= 1")
-        self.max_checkpoints = int(max_checkpoints)
-        self._checkpoints: List[Checkpoint] = []
+    def __init__(self) -> None:
+        self._latest: Optional[Checkpoint] = None
         self.saves = 0
         self.restores = 0
 
     def save(self, checkpoint: Checkpoint) -> None:
-        """Store a checkpoint, evicting the oldest if over capacity."""
-        self._checkpoints.append(checkpoint)
+        """Store a checkpoint, replacing the previous one."""
+        self._latest = checkpoint
         self.saves += 1
-        while len(self._checkpoints) > self.max_checkpoints:
-            self._checkpoints.pop(0)
 
     def latest(self) -> Optional[Checkpoint]:
         """The most recent checkpoint, or ``None`` if empty."""
-        if not self._checkpoints:
-            return None
-        return self._checkpoints[-1]
-
-    def at_or_before(self, iteration: int) -> Optional[Checkpoint]:
-        """The most recent checkpoint taken at or before ``iteration``."""
-        best = None
-        for ckpt in self._checkpoints:
-            if ckpt.iteration <= iteration:
-                best = ckpt
-        return best
+        return self._latest
 
     def mark_restore(self) -> None:
         self.restores += 1
 
     def clear(self) -> None:
-        self._checkpoints.clear()
+        self._latest = None
 
     def __len__(self) -> int:
-        return len(self._checkpoints)
+        return 0 if self._latest is None else 1
 
     def nbytes(self) -> int:
-        """Total memory footprint of all stored checkpoints."""
-        return sum(c.nbytes() for c in self._checkpoints)
+        """Memory footprint of the stored checkpoint."""
+        return 0 if self._latest is None else self._latest.nbytes()

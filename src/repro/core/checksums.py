@@ -26,7 +26,6 @@ __all__ = [
     "column_checksum",
     "both_checksums",
     "constant_checksum",
-    "patch_checksum",
 ]
 
 #: Axis reduced by the row checksum (sum over y).
@@ -43,7 +42,8 @@ def checksum(
     Parameters
     ----------
     u:
-        Domain array (2D or 3D).
+        Domain array (2D or 3D), optionally with a trailing run axis (a
+        batch of independent runs, each reduced on its own).
     reduce_axis:
         Axis summed over (0 for the column checksum, 1 for the row
         checksum).
@@ -57,8 +57,11 @@ def checksum(
         raise ValueError(
             f"reduce_axis must be 0 (column) or 1 (row), got {reduce_axis}"
         )
-    if u.ndim not in (2, 3):
-        raise ValueError(f"checksums are defined for 2D/3D domains, got {u.ndim}D")
+    if u.ndim not in (2, 3, 4):
+        raise ValueError(
+            f"checksums are defined for 2D/3D domains (plus an optional run "
+            f"axis), got {u.ndim}D"
+        )
     return u.sum(axis=reduce_axis, dtype=dtype)
 
 
@@ -98,16 +101,3 @@ def constant_checksum(
         )
     return constant.sum(axis=reduce_axis).astype(dtype, copy=False)
 
-
-def patch_checksum(
-    cs: np.ndarray, index, old_value: float, new_value: float
-) -> None:
-    """Update a checksum in place after a domain point changed value.
-
-    Used after error correction so that the (corrected) computed
-    checksums remain consistent with the (corrected) domain and can be
-    carried into the next iteration ("checksums also need to be updated
-    with the correct value to maintain the correctness of subsequent
-    stencil iterations", Section 3.5).
-    """
-    cs[index] += np.asarray(new_value - old_value, dtype=cs.dtype)

@@ -12,10 +12,18 @@ corrupted value from either checksum residual:
         = a'^{(t+1)}_{e_x} - (a^{(t+1)}_{e_x} - u^{(t+1)}_{e_x,e_y})
         = b'^{(t+1)}_{e_y} - (b^{(t+1)}_{e_y} - u^{(t+1)}_{e_x,e_y})
 
+The implementation evaluates ``a^{(t+1)}_{e_x} - u^{(t+1)}_{e_x,e_y}``
+directly as the sum of the rest of the row (column), with the faulty
+point excluded.  In exact arithmetic this is Eq. 10; in floating point
+it avoids the catastrophic cancellation of subtracting a huge corrupted
+value (an exponent-bit flip turns ~300 into ~6e21) from a checksum that
+contains it, and it repairs a NaN or Inf point, which no arithmetic on
+the corrupted value could.
+
 Both estimates should agree; the implementation averages them by
 default (as the paper's reference listing in Figure 6 does) or can use
-either one alone. The computed checksums are patched afterwards so that
-they remain consistent with the corrected domain.
+either one alone. The affected computed-checksum entries are then
+recomputed from the repaired domain, so they stay consistent with it.
 
 When several errors are present the row/column flags no longer pair up
 uniquely; :func:`match_detections` pairs them by matching residual
@@ -31,7 +39,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.checksums import patch_checksum
 from repro.core.detection import DetectionResult
 
 __all__ = [
@@ -202,8 +209,8 @@ def correct_errors(
         :func:`match_detections`.
     a_computed, a_interpolated:
         Row checksum computed from the corrupted domain and its
-        interpolated prediction. ``a_computed`` is patched in place after
-        each correction so it remains consistent with the repaired domain.
+        interpolated prediction. The entry of every corrected row of
+        ``a_computed`` is recomputed in place from the repaired domain.
     b_computed, b_interpolated:
         Same for the column checksum.
     strategy:
@@ -227,19 +234,20 @@ def correct_errors(
             raise ValueError(
                 f"location {loc} does not match domain dimensionality {ndim}"
             )
-        x, y = loc[0], loc[1]
-        if ndim == 2:
-            a_idx: Tuple[int, ...] = (x,)
-            b_idx: Tuple[int, ...] = (y,)
-        else:
-            z = loc[2]
-            a_idx = (x, z)
-            b_idx = (y, z)
+        # The checksum entry and the domain line (row / column, within
+        # the point's layer) each estimate comes from.
+        a_idx = (loc[0],) + loc[2:]
+        b_idx = loc[1:]
+        row = (loc[0], slice(None)) + loc[2:]
+        col = (slice(None),) + loc[1:]
         old = float(u[loc])
-        # Subtract the erroneous value from each computed checksum and use
-        # the interpolated checksum to solve for the correct value.
-        row_estimate = float(a_interpolated[a_idx] - (a_computed[a_idx] - old))
-        col_estimate = float(b_interpolated[b_idx] - (b_computed[b_idx] - old))
+        # Exclude the faulty point from its row and column sums; the
+        # interpolated checksum minus the rest of the line is the value.
+        u[loc] = 0
+        row_rest = u[row].sum(dtype=a_computed.dtype)
+        col_rest = u[col].sum(dtype=b_computed.dtype)
+        row_estimate = float(a_interpolated[a_idx] - row_rest)
+        col_estimate = float(b_interpolated[b_idx] - col_rest)
         if strategy == "average":
             corrected = 0.5 * (row_estimate + col_estimate)
         elif strategy == "row":
@@ -247,8 +255,8 @@ def correct_errors(
         else:
             corrected = col_estimate
         u[loc] = corrected
-        patch_checksum(a_computed, a_idx, old, corrected)
-        patch_checksum(b_computed, b_idx, old, corrected)
+        a_computed[a_idx] = u[row].sum(dtype=a_computed.dtype)
+        b_computed[b_idx] = u[col].sum(dtype=b_computed.dtype)
         records.append(
             CorrectionRecord(
                 index=loc,

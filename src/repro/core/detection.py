@@ -12,12 +12,21 @@ and an error flag is raised whenever it exceeds a detection threshold ε
 (1e-5 in the paper's experiments). The indices of the flagged entries
 give the row (respectively column, respectively layer) of the corrupted
 point and are later consumed by the correction step.
+
+A non-finite discrepancy (a NaN or Inf checksum entry, e.g. after an
+exponent-bit flip) is always flagged: the test is written as
+``not (rel <= ε)``, which is False for NaN, so a corrupt state is never
+read as clean.  Checksums may carry one trailing run axis (a batch of
+independent runs); :meth:`DetectionResult.run_maxima` and
+:meth:`DetectionResult.for_run` give what a single-run detection of one
+run would have produced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,10 +50,14 @@ class DetectionResult:
     max_relative_error:
         Largest relative error over the *whole* checksum (flagged or not);
         useful for threshold calibration and false-positive analysis.
+        ``inf`` when any entry is non-finite.
     threshold:
         The ε used for this comparison.
     n_checked:
         Total number of checksum entries compared.
+    discrepancy:
+        The element-wise relative error of every entry (what
+        :meth:`run_maxima` and :meth:`for_run` split by run).
     """
 
     mismatch_indices: np.ndarray
@@ -52,6 +65,7 @@ class DetectionResult:
     max_relative_error: float
     threshold: float
     n_checked: int
+    discrepancy: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def detected(self) -> bool:
@@ -66,11 +80,40 @@ class DetectionResult:
         """Flagged indices as plain Python tuples."""
         return tuple(tuple(int(v) for v in row) for row in self.mismatch_indices)
 
+    def run_maxima(self) -> List[float]:
+        """Per-run ``max_relative_error`` over checksums with a run axis."""
+        rel = self.discrepancy
+        # One contiguous row per run makes the per-run maxima one pass.
+        return _max_relative(rel.reshape(-1, rel.shape[-1]).T.copy(), axis=1)
+
+    def for_run(self, run: int) -> "DetectionResult":
+        """The result of one run (index ``run`` of the last, run axis).
+
+        It equals :func:`detect_errors` on the ``[..., run]`` slices,
+        because the discrepancy is element-wise.
+        """
+        rel = self.discrepancy[..., run]
+        mask = self.mismatch_indices[:, -1] == run
+        return DetectionResult(
+            self.mismatch_indices[mask, :-1], self.relative_errors[mask],
+            _max_relative(rel), self.threshold, rel.size, rel,
+        )
+
     def __bool__(self) -> bool:
         return self.detected
 
     def __len__(self) -> int:
         return self.n_errors
+
+
+def _max_relative(rel: np.ndarray, axis=None):
+    """Largest relative error (a list along ``axis``), a NaN read as ``inf``."""
+    if rel.size == 0:
+        return 0.0
+    peak = rel.max(axis=axis).tolist()
+    if axis is None:
+        return math.inf if math.isnan(peak) else peak
+    return [math.inf if math.isnan(p) else p for p in peak]
 
 
 def relative_discrepancy(
@@ -81,7 +124,7 @@ def relative_discrepancy(
     Entries where the computed checksum is exactly zero fall back to the
     absolute difference ``|interpolated - computed|`` so that a corrupted
     zero still registers a non-zero discrepancy instead of a division by
-    zero.
+    zero.  A NaN or Inf on either side yields a NaN or Inf entry.
     """
     computed = np.asarray(computed)
     interpolated = np.asarray(interpolated)
@@ -89,10 +132,12 @@ def relative_discrepancy(
         raise ValueError(
             f"checksum shapes differ: {computed.shape} vs {interpolated.shape}"
         )
-    diff = np.abs(interpolated.astype(np.float64) - computed.astype(np.float64))
-    denom = np.abs(computed.astype(np.float64))
-    out = np.where(denom > 0.0, diff / np.where(denom > 0.0, denom, 1.0), diff)
-    return out
+    with np.errstate(invalid="ignore", over="ignore"):
+        rel = np.subtract(interpolated, computed, dtype=np.float64)
+        np.abs(rel, out=rel)
+        denom = np.abs(computed, dtype=np.float64)
+        # Where the computed entry is zero, ``rel`` keeps the difference.
+        return np.divide(rel, denom, out=rel, where=denom > 0.0)
 
 
 def detect_errors(
@@ -115,18 +160,25 @@ def detect_errors(
     Returns
     -------
     DetectionResult
+        Non-finite entries are flagged and make ``max_relative_error``
+        ``inf``.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     rel = relative_discrepancy(computed, interpolated)
-    flagged = rel > threshold
-    idx = np.argwhere(flagged)
-    errors = rel[flagged]
-    max_rel = float(rel.max()) if rel.size else 0.0
+    max_rel = _max_relative(rel)
+    if max_rel <= threshold:
+        # Clean, the common case: nothing can be flagged (a NaN reads as
+        # inf), so no further pass.
+        indices, errors = np.empty((0, rel.ndim), np.intp), rel.reshape(-1)[:0]
+    else:
+        flagged = ~(rel <= threshold)
+        indices, errors = np.argwhere(flagged), rel[flagged]
     return DetectionResult(
-        mismatch_indices=idx,
-        relative_errors=np.asarray(errors, dtype=np.float64),
+        mismatch_indices=indices,
+        relative_errors=errors,
         max_relative_error=max_rel,
         threshold=float(threshold),
         n_checked=int(rel.size),
+        discrepancy=rel,
     )

@@ -196,10 +196,6 @@ def _other_offset(offset: Sequence[int], reduce_axis: int) -> Tuple[int, ...]:
     return tuple(int(o) for a, o in enumerate(offset) if a != reduce_axis)
 
 
-def _other_values(values: Sequence[int], reduce_axis: int) -> Tuple[int, ...]:
-    return tuple(int(v) for a, v in enumerate(values) if a != reduce_axis)
-
-
 # ---------------------------------------------------------------------------
 # exact interpolation from the padded previous domain
 # ---------------------------------------------------------------------------
@@ -264,17 +260,22 @@ def interpolate_checksum_padded(
     if constant_sum is not None:
         predicted += np.asarray(constant_sum, dtype=dtype)
 
-    delta_cache: Dict[int, np.ndarray] = {}
+    # The extended checksum of the window shifted by each reduce-axis
+    # offset (plus its α/β term), built once per distinct offset.
+    shifted_ext: Dict[int, np.ndarray] = {0: ext}
+    term = np.empty(other_shape, dtype=dtype)
     for offset, weight in spec:
         o_d = int(offset[reduce_axis])
-        if o_d not in delta_cache:
-            delta_cache[o_d] = _delta_for_offset(
+        g = shifted_ext.get(o_d)
+        if g is None:
+            g = shifted_ext[o_d] = ext + _delta_for_offset(
                 padded_prev, radius, interior_shape, reduce_axis, o_d, dtype=dtype
             )
-        g = ext if o_d == 0 else ext + delta_cache[o_d]
-        o_other = _other_offset(offset, reduce_axis)
-        contribution = shifted_view(g, o_other, radius_other, other_shape)
-        predicted += np.asarray(weight, dtype=dtype) * contribution
+        contribution = shifted_view(
+            g, _other_offset(offset, reduce_axis), radius_other, other_shape
+        )
+        np.multiply(np.asarray(weight, dtype=dtype), contribution, out=term)
+        predicted += term
     return predicted
 
 

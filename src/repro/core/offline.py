@@ -38,13 +38,20 @@ from repro.core.interpolation import (
     extract_delta_strips,
     interpolate_checksum_reduced,
 )
-from repro.core.protector import InjectHook, Protector, RunReport, StepReport
+from repro.core.protector import (
+    InjectHook, Protector, RunReport, StepReport, require_finite_seed,
+)
 from repro.core.thresholds import recommend_epsilon
 from repro.stencil.boundary import BoundarySpec
 from repro.stencil.grid import GridBase
 from repro.stencil.spec import StencilSpec
 
 __all__ = ["OfflineABFT"]
+
+#: Consecutive rollback attempts allowed for one detection window before
+#: the errors are reported uncorrected (guards against persistent-fault
+#: livelock).
+MAX_RECOVERY_ATTEMPTS = 3
 
 
 class OfflineABFT(Protector):
@@ -67,12 +74,6 @@ class OfflineABFT(Protector):
     track_strips:
         Record exact α/β strips every sweep (default) or use the
         simplified interpolation of Eqs. (8)-(9).
-    store:
-        Checkpoint store; defaults to a fresh single-slot
-        :class:`~repro.checkpoint.store.InMemoryCheckpointStore`.
-    max_recovery_attempts:
-        Upper bound on consecutive rollback attempts for one detection
-        window (guards against persistent-fault livelock).
     metadata_self_check:
         Guard the protector's own state against corruption (default on).
         The working checkpoint checksum is validated against the
@@ -80,9 +81,9 @@ class OfflineABFT(Protector):
         on mismatch it is recomputed from the checkpoint snapshot
         instead of being trusted. Without this, a bit flip striking the
         *stored checksum* (rather than the domain) drives futile
-        rollback/recompute cycles of perfectly healthy data until
-        ``max_recovery_attempts`` is exhausted. Repairs are counted in
-        ``total_metadata_repairs``.
+        rollback/recompute cycles of perfectly healthy data until the
+        rollback attempts of the window are exhausted. Repairs are
+        counted in ``total_metadata_repairs``.
     checksum_dtype:
         Accumulation dtype for checksums. Defaults to ``numpy.float64``
         so that the Δ-step replay does not itself drift past ε — a
@@ -128,8 +129,6 @@ class OfflineABFT(Protector):
         epsilon: Optional[float] = None,
         verify_axis: int = 0,
         track_strips: bool = True,
-        store: Optional[InMemoryCheckpointStore] = None,
-        max_recovery_attempts: int = 3,
         metadata_self_check: bool = True,
         checksum_dtype=np.float64,
         backend: BackendLike = None,
@@ -165,10 +164,9 @@ class OfflineABFT(Protector):
         self.verify_axis = verify_axis
         self.track_strips = bool(track_strips)
         self.radius = spec.radius()
-        self.max_recovery_attempts = int(max_recovery_attempts)
         self.metadata_self_check = bool(metadata_self_check)
         self.backend = None if backend is None else get_backend(backend)
-        self.store = store if store is not None else InMemoryCheckpointStore()
+        self.store = InMemoryCheckpointStore()
         if epsilon is None:
             # As for the online protector, the margin is governed by the
             # domain dtype; the period enters because the interpolation is
@@ -225,8 +223,9 @@ class OfflineABFT(Protector):
         """The working checkpoint checksum, validated against its duplicate.
 
         The checkpoint store keeps an independent copy of the checksum
-        taken with the checkpoint; a mismatch between the two means a
-        fault struck the protector's metadata, not the domain. The
+        taken with the checkpoint; a mismatch between the two (compared
+        bit for bit, so two copies of one NaN are equal) means a fault
+        struck the protector's metadata, not the domain. The
         checksum is then recomputed from the checkpoint snapshot (the
         ground truth both copies were derived from) and both copies are
         repaired, so a corrupted checksum never drives futile rollbacks
@@ -239,7 +238,7 @@ class OfflineABFT(Protector):
         if ckpt is None:
             return cs
         dup = ckpt.checksums.get(self.verify_axis)
-        if dup is None or np.array_equal(cs, dup):
+        if dup is None or cs.tobytes() == dup.tobytes():
             return cs
         self.total_metadata_repairs += 1
         cs = self._checksum(ckpt.snapshot.u)
@@ -265,6 +264,9 @@ class OfflineABFT(Protector):
         # computed checksum instead of paying another reduction pass.
         if cs is None:
             cs = self._checksum(grid.u)
+        if self._ckpt_checksum is None:
+            # The initial verified state (t = 0 data assumed correct).
+            require_finite_seed(cs, self.name)
         self.store.save(
             Checkpoint(
                 iteration=grid.iteration,
@@ -467,7 +469,7 @@ class OfflineABFT(Protector):
                 report.errors_detected = detection.n_errors
                 self.total_detections += detection.n_errors
             attempts += 1
-            if attempts > self.max_recovery_attempts:
+            if attempts > MAX_RECOVERY_ATTEMPTS:
                 report.errors_uncorrected = detection.n_errors
                 break
             checkpoint = self.store.latest()

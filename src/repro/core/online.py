@@ -11,8 +11,14 @@ After every stencil sweep the online protector
 4. lazily computes the *other* checksum pair (from the still-alive
    previous domain and from the corrupted new domain), locates the
    corrupted point(s) from the row/column mismatch pattern and corrects
-   them in place using Eq. 10 (Section 3.5), patching the checksums so
-   that the next iteration starts from a consistent state.
+   them in place using Eq. 10 (Section 3.5), recomputing the affected
+   checksum entries so that the next iteration starts from a consistent
+   state.
+
+:meth:`OnlineABFT.process` also verifies a whole batch of independent
+runs in one call (a trailing run axis, as in the backends' batched
+step): steps 1-3 act on every run at once, and step 4 runs per flagged
+run on its own views, so each run gets the report it would get alone.
 
 The "only one checksum per iteration" recommendation of Section 3.2 is
 the default; ``eager_row_checksum=True`` computes both every iteration
@@ -21,7 +27,7 @@ the default; ``eager_row_checksum=True`` computes both every iteration
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -33,12 +39,13 @@ from repro.core.correction import (
     correct_errors,
     match_detections,
 )
-from repro.core.detection import detect_errors
+from repro.core.detection import DetectionResult, detect_errors
 from repro.core.interpolation import interpolate_checksum_padded
-from repro.core.protector import InjectHook, Protector, StepReport
+from repro.core.protector import InjectHook, Protector, StepReport, require_finite_seed
 from repro.core.thresholds import recommend_epsilon
 from repro.stencil.boundary import BoundarySpec
 from repro.stencil.grid import GridBase
+from repro.stencil.shift import interior_view
 from repro.stencil.spec import StencilSpec
 
 __all__ = ["OnlineABFT"]
@@ -84,15 +91,6 @@ class OnlineABFT(Protector):
         sizes (Section 5.1). Pass ``None`` to accumulate in the domain
         dtype exactly as the paper's fused float32 kernel does (the
         ablation benchmark compares the two).
-    refresh_checksums:
-        After correcting a point, recompute the affected checksum entries
-        directly from the repaired domain instead of only patching them
-        (the paper's Figure 6 patches). Patching a checksum that briefly
-        held a huge corrupted value leaves a large cancellation residue
-        in float32, which can trigger spurious detections on later
-        iterations; the refresh costs one row/column sum per corrected
-        point and avoids that. Set to ``False`` to reproduce the paper's
-        listing exactly.
     metadata_self_check:
         Guard the protector's own state against corruption (default on).
         Every stored previous-step checksum is kept twice; before it is
@@ -126,6 +124,11 @@ class OnlineABFT(Protector):
     the injection path re-reduces the buffer after the hook mutated it),
     and corrections write back through ``grid.u`` into the same buffer
     the next sweep's ghost refresh re-reads.
+
+    :meth:`process` also verifies a batch of independent runs laid out on
+    one trailing run axis (the campaign engine's stacked path) and then
+    returns one report per run; the stored checksums are then the
+    batch's, and the running totals add up every run's counts.
     """
 
     name = "online-abft"
@@ -142,7 +145,6 @@ class OnlineABFT(Protector):
         correction_strategy: str = "average",
         eager_row_checksum: bool = False,
         checksum_dtype=np.float64,
-        refresh_checksums: bool = True,
         metadata_self_check: bool = True,
         backend: BackendLike = None,
     ) -> None:
@@ -166,7 +168,6 @@ class OnlineABFT(Protector):
         self.other_axis = 1 - verify_axis
         self.correction_strategy = correction_strategy
         self.eager_row_checksum = bool(eager_row_checksum)
-        self.refresh_checksums = bool(refresh_checksums)
         self.metadata_self_check = bool(metadata_self_check)
         self.backend = None if backend is None else get_backend(backend)
         self.radius = spec.radius()
@@ -263,13 +264,15 @@ class OnlineABFT(Protector):
         else:
             self._prev_cs_dup[axis] = cs.copy()
 
-    def _checked_prev_cs(self, axis: int, prev_u: np.ndarray) -> np.ndarray:
+    def _checked_prev_cs(self, axis: int, padded_prev, radius) -> np.ndarray:
         """The stored previous-step checksum, validated against its duplicate.
 
         On mismatch (a fault hit the stored metadata, not the domain) the
         checksum is recomputed from the still-alive previous domain and
         re-stored, so a corrupted checksum never drives a bogus
-        detection/correction of healthy data.
+        detection/correction of healthy data.  The copies are compared
+        bit for bit, so two copies of one NaN are equal: only a
+        difference between the copies is a metadata fault.
         """
         cs = self._prev_cs[axis]
         dup = self._prev_cs_dup[axis]
@@ -277,12 +280,20 @@ class OnlineABFT(Protector):
             self.metadata_self_check
             and cs is not None
             and dup is not None
-            and not np.array_equal(cs, dup)
+            and cs.tobytes() != dup.tobytes()
         ):
             self.total_metadata_repairs += 1
-            cs = self._checksum(prev_u, axis)
+            cs = self._checksum(interior_view(padded_prev, radius), axis)
             self._store_prev_cs(axis, cs)
         return cs
+
+    def _seed(self, prev_u: np.ndarray) -> None:
+        """Store the first checksums, from the step-0 state (Theorem 2
+        takes it as correct, so it must be finite)."""
+        for axis in self.verify_axes():
+            cs = self._checksum(prev_u, axis)
+            require_finite_seed(cs, self.name)
+            self._store_prev_cs(axis, cs)
 
     def verify_axes(self):
         """Axes whose checksums each sweep must produce for this protector."""
@@ -295,13 +306,10 @@ class OnlineABFT(Protector):
             raise ValueError(
                 f"grid shape {grid.shape} does not match protector shape {self.shape}"
             )
-        verify, other = self.verify_axis, self.other_axis
-        # Initial checksums (step t=0 data assumed correct, as in Theorem 2).
-        if self._prev_cs[verify] is None:
-            self._store_prev_cs(verify, self._checksum(grid.u, verify))
-            if self.eager_row_checksum:
-                self._store_prev_cs(other, self._checksum(grid.u, other))
-
+        if self._prev_cs[self.verify_axis] is None:
+            # Seed before the sweep, so an injection hook at the first
+            # iteration already finds stored checksums to strike.
+            self._seed(grid.u)
         if inject is None and hasattr(grid, "step_with_checksums"):
             # Fault-free fast path: the sweep produces the verified
             # checksum itself (the paper's fused kernel).
@@ -328,7 +336,7 @@ class OnlineABFT(Protector):
         padded_prev: np.ndarray,
         iteration: int,
         precomputed_checksums: Optional[ChecksumMap] = None,
-    ) -> StepReport:
+    ) -> Union[StepReport, List[StepReport]]:
         """Verify (and correct) a freshly swept domain.
 
         This is the grid-independent core of the protector: ``u_new`` is
@@ -346,6 +354,17 @@ class OnlineABFT(Protector):
         is trusted instead of being recomputed here, so callers must only
         pass checksums that reflect ``u_new``'s current contents.
 
+        **Batches of runs.**  ``u_new`` and ``padded_prev`` may carry one
+        trailing run axis (ghost width 0 on it), the layout of
+        :meth:`~repro.backends.base.Backend.batch_step_into`; checksums
+        then carry it too, and the stored previous-step checksums are
+        the batch's.  One interpolation and one detection cover every
+        run; only the flagged runs are localised and corrected, each on
+        its own ``[..., run]`` views through the single-run code.  The
+        call returns one :class:`StepReport` per run, each equal to what
+        a single-run call on that run's views would return.  Corrections
+        write into ``u_new`` and into the precomputed checksum vectors.
+
         With the double-buffered grids both arguments are live views into
         the persistent buffer pair: ``u_new`` into the front buffer the
         sweep just filled, ``padded_prev`` into the buffer the *next*
@@ -353,127 +372,145 @@ class OnlineABFT(Protector):
         corrected) before the next step — which is exactly when the
         protectors run — and must never alias each other; the guard below
         rejects a caller that hands the same buffer for both.
-        """
-        from repro.stencil.shift import interior_view
 
+        Raises :class:`~repro.core.protector.NonFiniteStateError` when
+        the first call finds a NaN or Inf in the state it seeds the
+        checksums from.
+        """
         if np.may_share_memory(u_new, padded_prev):
             raise ValueError(
                 "u_new aliases padded_prev: the new step must live in a "
                 "different buffer than the padded previous step (did the "
                 "double-buffer swap go missing?)"
             )
-        verify, other = self.verify_axis, self.other_axis
-        if self._prev_cs[verify] is None:
-            self._store_prev_cs(
-                verify,
-                self._checksum(interior_view(padded_prev, self.radius), verify),
+        nd = len(self.shape)
+        if u_new.shape[:nd] != self.shape or u_new.ndim not in (nd, nd + 1):
+            raise ValueError(
+                f"u_new has shape {u_new.shape}, expected {self.shape} or "
+                f"{self.shape} + (runs,)"
             )
-            if self.eager_row_checksum:
-                self._store_prev_cs(
-                    other,
-                    self._checksum(interior_view(padded_prev, self.radius), other),
-                )
-        prev_u = interior_view(padded_prev, self.radius)
-        grid_u = u_new
-        grid_ndim = u_new.ndim
-
-        if precomputed_checksums is not None and verify in precomputed_checksums:
-            cs_comp = precomputed_checksums[verify]
+        batched = u_new.ndim == nd + 1
+        if batched:
+            # The run axis never shifts and has no ghost cells.
+            spec, radius = self.spec.batched(), self.radius + (0,)
+            shape = self.shape + u_new.shape[-1:]
         else:
-            cs_comp = self._checksum(grid_u, verify)
-        cs_interp = interpolate_checksum_padded(
-            self._checked_prev_cs(verify, prev_u),
-            padded_prev,
-            self.spec,
-            self.radius,
-            self.shape,
-            verify,
-            constant_sum=self._constant_sums[verify],
+            spec, radius, shape = self.spec, self.radius, self.shape
+        verify, other = self.verify_axis, self.other_axis
+        precomputed = precomputed_checksums or {}
+        if self._prev_cs[verify] is None:
+            self._seed(interior_view(padded_prev, radius))
+
+        cs_comp = precomputed.get(verify)
+        if cs_comp is None:
+            cs_comp = self._checksum(u_new, verify)
+        cs_interp = self._interpolate(
+            verify, self._checked_prev_cs(verify, padded_prev, radius),
+            padded_prev, spec, radius, shape,
         )
         detection = detect_errors(cs_comp, cs_interp, self.epsilon)
 
-        report = StepReport(
-            iteration=iteration,
-            detection_performed=True,
-            errors_detected=detection.n_errors,
-            max_relative_error=detection.max_relative_error,
+        other_comp = other_prev = None
+        if self.eager_row_checksum:
+            other_comp = precomputed.get(other)
+            if other_comp is None:
+                other_comp = self._checksum(u_new, other)
+        if detection.detected and self._prev_cs[other] is not None:
+            other_prev = self._checked_prev_cs(other, padded_prev, radius)
+
+        arrays = (u_new, padded_prev, cs_comp, cs_interp, other_comp, other_prev)
+        if batched:
+            reports = [
+                StepReport(
+                    iteration=iteration, detection_performed=True,
+                    max_relative_error=peak,
+                )
+                for peak in detection.run_maxima()
+            ]
+            if detection.detected:
+                # Only the flagged runs get a result of their own.
+                for run in np.unique(detection.mismatch_indices[:, -1]).tolist():
+                    self._correct(reports[run], detection.for_run(run), arrays, run)
+        else:
+            reports = StepReport(
+                iteration=iteration, detection_performed=True,
+                max_relative_error=detection.max_relative_error,
+            )
+            if detection.detected:
+                self._correct(reports, detection, arrays)
+        self._store_prev_cs(verify, cs_comp)
+        self._store_prev_cs(other, other_comp)
+        return reports
+
+    def _interpolate(
+        self, axis, cs_prev, padded_prev, spec, radius, shape
+    ) -> np.ndarray:
+        """Theorem-1 prediction of the ``axis`` checksum of one run or a batch."""
+        constant_sum = self._constant_sums[axis]
+        if constant_sum is not None and len(shape) > len(self.shape):
+            constant_sum = constant_sum[..., None]
+        return interpolate_checksum_padded(
+            cs_prev, padded_prev, spec, radius, shape, axis,
+            constant_sum=constant_sum,
         )
 
-        other_comp = None
-        if self.eager_row_checksum:
-            if precomputed_checksums is not None and other in precomputed_checksums:
-                other_comp = precomputed_checksums[other]
-            else:
-                other_comp = self._checksum(grid_u, other)
+    def _correct(
+        self,
+        report: StepReport,
+        detection: DetectionResult,
+        arrays,
+        run: Optional[int] = None,
+    ) -> None:
+        """Localise and correct one flagged run, filling in its report.
 
-        if detection.detected:
-            self.total_detections += detection.n_errors
-            # Lazily build the second checksum pair: previous-step checksum
-            # from the still-alive previous domain, current from the new one.
-            other_prev = (
-                self._checked_prev_cs(other, prev_u)
-                if self._prev_cs[other] is not None
-                else None
-            )
-            if other_prev is None:
-                other_prev = self._checksum(prev_u, other)
-            if other_comp is None:
-                other_comp = self._checksum(grid_u, other)
-            other_interp = interpolate_checksum_padded(
-                other_prev,
-                padded_prev,
-                self.spec,
-                self.radius,
-                self.shape,
-                other,
-                constant_sum=self._constant_sums[other],
-            )
-            other_detection = detect_errors(other_comp, other_interp, self.epsilon)
+        ``arrays`` are ``(u_new, padded_prev, cs_comp, cs_interp,
+        other_comp, other_prev)`` — of a batch when ``run`` names the
+        run to take views of — and the last two may be ``None``, in
+        which case they are computed here.
+        """
+        report.errors_detected = detection.n_errors
+        if run is not None:
+            arrays = tuple(None if a is None else a[..., run] for a in arrays)
+        u, padded_prev, cs_comp, cs_interp, other_comp, other_prev = arrays
+        verify, other = self.verify_axis, self.other_axis
+        self.total_detections += detection.n_errors
+        # Lazily build the second checksum pair: previous-step checksum
+        # from the still-alive previous domain, current from the new one.
+        if other_prev is None:
+            other_prev = self._checksum(interior_view(padded_prev, self.radius), other)
+        if other_comp is None:
+            other_comp = self._checksum(u, other)
+        other_interp = self._interpolate(
+            other, other_prev, padded_prev, self.spec, self.radius, self.shape
+        )
+        other_detection = detect_errors(other_comp, other_interp, self.epsilon)
 
-            if verify == _COLUMN_AXIS:
-                det_a, det_b = other_detection, detection
-                a_comp, a_interp = other_comp, other_interp
-                b_comp, b_interp = cs_comp, cs_interp
-            else:
-                det_a, det_b = detection, other_detection
-                a_comp, a_interp = cs_comp, cs_interp
-                b_comp, b_interp = other_comp, other_interp
+        if verify == _COLUMN_AXIS:
+            det_a, det_b = other_detection, detection
+            a_comp, a_interp = other_comp, other_interp
+            b_comp, b_interp = cs_comp, cs_interp
+        else:
+            det_a, det_b = detection, other_detection
+            a_comp, a_interp = cs_comp, cs_interp
+            b_comp, b_interp = other_comp, other_interp
 
-            locations, unresolved = match_detections(
-                det_a, det_b, a_comp, a_interp, b_comp, b_interp, grid_ndim
-            )
-            records = correct_errors(
-                grid_u,
-                locations,
-                a_comp,
-                a_interp,
-                b_comp,
-                b_interp,
-                strategy=self.correction_strategy,
-            )
-            report.errors_corrected = len(records)
-            report.errors_uncorrected = unresolved
-            report.corrections = records
-            self.total_corrections += len(records)
-            self.total_uncorrected += unresolved
-            # correct_errors patched a_comp/b_comp in place, so cs_comp and
-            # other_comp are already consistent with the repaired domain.
-            if self.refresh_checksums and records:
-                self._refresh_entries(grid_u, records, a_comp, b_comp)
-
-        self._store_prev_cs(verify, cs_comp)
-        self._store_prev_cs(other, other_comp if self.eager_row_checksum else None)
-        return report
-
-    def _refresh_entries(self, u: np.ndarray, records, a_comp, b_comp) -> None:
-        """Recompute the checksum entries touched by corrections from ``u``."""
-        cs_dtype = self.checksum_dtype
-        for rec in records:
-            if u.ndim == 2:
-                x, y = rec.index
-                a_comp[x] = u[x, :].sum(dtype=cs_dtype)
-                b_comp[y] = u[:, y].sum(dtype=cs_dtype)
-            else:
-                x, y, z = rec.index
-                a_comp[x, z] = u[x, :, z].sum(dtype=cs_dtype)
-                b_comp[y, z] = u[:, y, z].sum(dtype=cs_dtype)
+        locations, unresolved = match_detections(
+            det_a, det_b, a_comp, a_interp, b_comp, b_interp, u.ndim
+        )
+        # Corrects ``u`` and recomputes the touched entries of a_comp and
+        # b_comp in place, so cs_comp (and other_comp) stay consistent
+        # with the repaired domain when they are stored for the next step.
+        records = correct_errors(
+            u,
+            locations,
+            a_comp,
+            a_interp,
+            b_comp,
+            b_interp,
+            strategy=self.correction_strategy,
+        )
+        report.errors_corrected = len(records)
+        report.errors_uncorrected = unresolved
+        report.corrections = records
+        self.total_corrections += len(records)
+        self.total_uncorrected += unresolved

@@ -28,12 +28,31 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from repro.stencil.grid import GridBase
 
-__all__ = ["StepReport", "RunReport", "Protector", "NoProtection"]
+__all__ = [
+    "StepReport", "RunReport", "Protector", "NoProtection", "NonFiniteStateError",
+]
 
 #: Signature of a fault-injection hook: ``inject(grid, iteration)``.
 InjectHook = Callable[[GridBase, int], None]
+
+
+class NonFiniteStateError(ValueError):
+    """The state a protector starts from holds a NaN or Inf (Theorem 2
+    takes the step-0 data as correct, so it must be finite)."""
+
+
+def require_finite_seed(checksum: np.ndarray, name: str) -> None:
+    """Reject a first checksum seed: a NaN or Inf anywhere in the initial
+    state reaches it, so this one test covers the whole state."""
+    if not np.all(np.isfinite(checksum)):
+        raise NonFiniteStateError(
+            f"{name}: the initial state holds non-finite values (NaN or "
+            f"Inf); its checksums cannot seed verification"
+        )
 
 
 @dataclass

@@ -53,22 +53,20 @@ Two run strategies share that lifecycle:
     :meth:`~repro.backends.base.Backend.batch_step_into_with_checksums`
     primitive — one vectorised NumPy pass on the interpreted backends,
     one generated ``bstep_cs`` kernel call (outer ``prange`` over runs)
-    on the compiled numba backend — followed by one stacked Theorem-1
-    interpolation and detection screen for all runs at once.  Every
-    backend's batched step is per-slot bit-identical to its single-run
-    step, and the per-run checksum *chains* are selected to match what
-    replay would have fed the protector (fault-carrying runs recompute
-    ``np.sum`` checksums after injection, exactly like the hook-driven
-    replay path; clean runs trust the fused kernel checksums), so every
-    run's numbers are identical to its serial execution.  The rare
-    steps on which the vectorised detection screen flags a run are
-    delegated, for that run only, to the ordinary
-    :meth:`OnlineABFT.process` on per-run views — corrections reuse the
-    library implementation verbatim.  Eligibility is checked per
-    campaign (:func:`stacked_support_reason`, which names the fallback
-    reason the records report); anything else replays.  Stacked versus
-    replay is a pure throughput choice — records are bitwise-identical
-    either way.
+    on the compiled numba backend — followed by one
+    :meth:`OnlineABFT.process` call on the same run-axis layout: one
+    Theorem-1 interpolation and one detection for all runs, and the
+    library's localisation and correction on the views of only the
+    flagged runs.  Every backend's batched step is per-slot bit-identical
+    to its single-run step, and the engine picks each run's checksum
+    *chain* to match what replay would have fed the protector
+    (fault-carrying runs recompute ``np.sum`` checksums after injection,
+    exactly like the hook-driven replay path; clean runs trust the fused
+    kernel checksums), so every run's numbers are identical to its
+    serial execution.  Eligibility is checked per campaign
+    (:func:`stacked_support_reason`, which names the fallback reason the
+    records report); anything else replays.  Stacked versus replay is a
+    pure throughput choice — records are bitwise-identical either way.
 
 The engine powers every experiment harness
 (:mod:`repro.experiments.campaign_runner`, figures 10/11, sensitivity)
@@ -295,10 +293,12 @@ class _StackedBatch:
     backend-owned batched step
     (:meth:`~repro.backends.base.Backend.batch_step_into_with_checksums`
     — fused ghost refresh, sweep and checksum fold for every run in one
-    vectorised pass or one compiled ``prange``-over-runs kernel), one
-    Theorem-1 interpolation and one detection screen — each acting on
-    every run of the batch at once.  All buffers are allocated once and
-    reset in place between batches.
+    vectorised pass or one compiled ``prange``-over-runs kernel), the
+    planned bit flips, and one batched :meth:`OnlineABFT.process` call
+    that verifies every run and corrects the flagged ones.  What stays
+    here is only what stacking needs: the buffers, the injection and
+    each run's choice of checksum chain.  All buffers are allocated once
+    and reset in place between batches.
     """
 
     def __init__(
@@ -324,9 +324,7 @@ class _StackedBatch:
         boundary = BoundarySpec(
             tuple(self.base_boundary) + (BoundaryCondition.clamp(),)
         )
-        self.shape = shape
         self.radius = radius
-        self.boundary = boundary
         # The campaign's shared initial domain — passed explicitly (the
         # worker grid may hold the final state of an earlier replay run).
         self.initial = np.ascontiguousarray(initial)[..., None]
@@ -335,18 +333,7 @@ class _StackedBatch:
             dtype=self.dtype,
         )
         self.constant = grid.constant
-        # Batch-extended (offset, weight) pairs for the stacked Theorem-1
-        # interpolation: the batch axis never shifts.
-        self.spec_ext = tuple((tuple(o) + (0,), w) for o, w in self.spec)
-
-        self.protector: Optional[OnlineABFT] = None
-        if isinstance(protector, OnlineABFT):
-            self.protector = protector
-            self.verify_axis = protector.verify_axis
-            self.cs_dtype = protector.checksum_dtype
-            self.epsilon = protector.epsilon
-            cs = protector._constant_sums[self.verify_axis]
-            self.constant_sum = None if cs is None else cs[..., None]
+        self.protector = protector if isinstance(protector, OnlineABFT) else None
 
     def run_batch(
         self,
@@ -366,7 +353,6 @@ class _StackedBatch:
             raise ValueError(
                 f"batch of {width} runs exceeds stacked width {self.width}"
             )
-        iterations = config.iterations
         # In-place reset: every slot restarts from the shared initial
         # domain; no allocation.
         interior_view(self.pair.front, self.radius)[..., :width] = self.initial
@@ -378,7 +364,12 @@ class _StackedBatch:
 
         counters = np.zeros((width, 3), dtype=np.int64)
         protector = self.protector
-        verify = self.verify_axis if protector is not None else 0
+        if protector is not None:
+            # A fresh chain: the first process call seeds it from the
+            # initial domain.
+            protector.reset()
+            verify = protector.verify_axis
+            cs_dtype = protector.checksum_dtype
         # Which slots carry fault plans decides each slot's checksum
         # *chain*: the replay strategy computes ``np.sum`` checksums on
         # every step of a hook-driven (fault-carrying) run but trusts
@@ -393,12 +384,7 @@ class _StackedBatch:
         backend = self.backend
 
         start = time.perf_counter()
-        interior = interior_view(self.pair.front, self.radius)[..., :width]
-        if protector is not None:
-            # Step t=0 data assumed correct (Theorem 2), as in
-            # OnlineABFT.step's first-iteration checksum seed.
-            prev_cs = np.sum(interior, axis=verify, dtype=self.cs_dtype)
-        for t in range(1, iterations + 1):
+        for t in range(1, config.iterations + 1):
             src = self.pair.front[..., :width]
             dst = self.pair.back[..., :width]
             if protector is None or all_fault:
@@ -413,7 +399,7 @@ class _StackedBatch:
                 _, cs_map = backend.batch_step_into_with_checksums(
                     src, dst, self.spec, self.base_radius, self.base_shape,
                     self.base_boundary, (verify,), constant=self.constant,
-                    checksum_dtype=self.cs_dtype,
+                    checksum_dtype=cs_dtype,
                 )
                 cs = cs_map[verify]
             self.pair.swap()
@@ -427,94 +413,25 @@ class _StackedBatch:
             if any_fault:
                 # Post-injection ``np.sum`` chain for fault-carrying
                 # slots, exactly like replay's hook-driven path.
-                post = np.sum(interior, axis=verify, dtype=self.cs_dtype)
+                post = np.sum(interior, axis=verify, dtype=cs_dtype)
                 if cs is None:
                     cs = post
                 else:
                     cs[..., fault_slots] = post[..., fault_slots]
-            predicted = _interpolate_stacked(
-                prev_cs,
-                self.pair.back[..., :width],
-                self.spec_ext,
-                self.radius,
-                self.base_shape + (width,),
-                verify,
-                self.constant_sum,
+            reports = protector.process(
+                interior, self.pair.back[..., :width], t,
+                precomputed_checksums={verify: cs},
             )
-            flagged = _detection_screen(cs, predicted, self.epsilon)
-            if flagged is not None:
-                for slot in flagged:
-                    # Delegate the rare detection step to the library
-                    # protector on per-run views: the checksum recompute,
-                    # interpolation, localisation and correction are the
-                    # exact legacy code (bitwise-equal inputs, so the
-                    # same decision the screen made), and corrections
-                    # write back into the stacked pair through the view.
-                    protector.reset()
-                    # Route through the protector's store helper so its
-                    # duplicated-checksum self-check state stays
-                    # consistent with the seeded checksum.
-                    protector._store_prev_cs(
-                        verify, np.ascontiguousarray(prev_cs[..., slot])
+            for slot, report in enumerate(reports):
+                if report.errors_detected:
+                    counters[slot] += (
+                        report.errors_detected,
+                        report.errors_corrected,
+                        report.errors_uncorrected,
                     )
-                    report = protector.process(
-                        interior[..., slot], self.pair.back[..., slot], t
-                    )
-                    counters[slot, 0] += report.errors_detected
-                    counters[slot, 1] += report.errors_corrected
-                    counters[slot, 2] += report.errors_uncorrected
-                    cs[..., slot] = protector._prev_cs[verify]
-            prev_cs = cs
         elapsed = time.perf_counter() - start
-        if protector is not None:
-            protector.reset()
+        interior = interior_view(self.pair.front, self.radius)[..., :width]
         return counters, interior, elapsed
-
-
-def _interpolate_stacked(
-    prev_cs: np.ndarray,
-    padded_prev: np.ndarray,
-    spec_ext,
-    radius,
-    shape,
-    verify: int,
-    constant_sum: Optional[np.ndarray],
-) -> np.ndarray:
-    """Theorem-1 interpolation of the whole batch in one call.
-
-    ``interpolate_checksum_padded`` is dimension-generic and only
-    iterates ``(offset, weight)`` pairs from its ``spec`` argument, so
-    handing it the batch-extended offsets (batch axis shift 0, ghost
-    radius 0) interpolates every run's checksum at once; the boundary
-    strips it reduces are per-run independent, keeping the result
-    bitwise equal to the per-run calls of the serial protector.
-    """
-    from repro.core.interpolation import interpolate_checksum_padded
-
-    return interpolate_checksum_padded(
-        prev_cs, padded_prev, spec_ext, radius, shape, verify,
-        constant_sum=constant_sum,
-    )
-
-
-def _detection_screen(
-    computed: np.ndarray, predicted: np.ndarray, epsilon: float
-) -> Optional[np.ndarray]:
-    """Batch slots whose checksums mismatch, or ``None`` when all clean.
-
-    Replicates :func:`repro.core.detection.relative_discrepancy`
-    elementwise over the stacked checksums, so a slot is flagged exactly
-    when the serial protector's ``detect_errors`` would have flagged the
-    run — the flagged slots then re-run the full detection on their own
-    views.
-    """
-    from repro.core.detection import relative_discrepancy
-
-    rel = relative_discrepancy(computed, predicted)
-    flagged = rel > epsilon
-    if not flagged.any():
-        return None
-    return np.unique(np.argwhere(flagged)[:, -1])
 
 
 class _WorkerCampaign:

@@ -34,13 +34,14 @@ __all__ = [
 
 def normalize_radius(radius, ndim: int) -> Tuple[int, ...]:
     """Coerce a scalar or per-axis radius into a per-axis tuple."""
-    if np.isscalar(radius):
-        radius = tuple(int(radius) for _ in range(ndim))
+    # A tuple (the hot-path case) skips the slower scalar test.
+    if isinstance(radius, tuple) or not np.isscalar(radius):
+        radius = tuple(map(int, radius))
     else:
-        radius = tuple(int(r) for r in radius)
+        radius = (int(radius),) * ndim
     if len(radius) != ndim:
         raise ValueError(f"expected {ndim} radii, got {len(radius)}")
-    if any(r < 0 for r in radius):
+    if radius and min(radius) < 0:
         raise ValueError(f"radii must be non-negative, got {radius}")
     return radius
 
@@ -247,16 +248,14 @@ def shifted_view(
     """
     ndim = padded.ndim
     radius = normalize_radius(radius, ndim)
-    offset = tuple(int(o) for o in offset)
+    offset = tuple(map(int, offset))
     if len(offset) != ndim:
         raise ValueError(f"offset has {len(offset)} components, array has {ndim}")
     slices = []
-    for axis in range(ndim):
-        o, r, n = offset[axis], radius[axis], int(interior_shape[axis])
+    for axis, (o, r, n) in enumerate(zip(offset, radius, interior_shape)):
         if abs(o) > r:
             raise ValueError(
                 f"offset {o} exceeds ghost radius {r} along axis {axis}"
             )
-        start = r + o
-        slices.append(slice(start, start + n))
+        slices.append(slice(r + o, r + o + int(n)))
     return padded[tuple(slices)]

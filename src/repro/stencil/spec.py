@@ -102,6 +102,7 @@ class StencilSpec:
         self._offsets = np.array([o for o, _ in items], dtype=np.int64)
         self._weights = np.array([w for _, w in items], dtype=np.float64)
         self._ndim = ndim
+        self._batched = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -246,6 +247,18 @@ class StencilSpec:
         return f"offsets{self._ndim}d[{pts}]"
 
     # -- derived properties -------------------------------------------------
+    def batched(self) -> Tuple[Tuple[Tuple[int, ...], float], ...]:
+        """The ``(offset, weight)`` pairs with a zero offset appended.
+
+        A batch of independent runs is one extra trailing axis of the
+        domain (ghost width 0, never shifted).  The interpreted sweep and
+        the Theorem-1 interpolation consume nothing of a spec but this
+        iteration, so they act on every run at once through these pairs.
+        """
+        if self._batched is None:
+            self._batched = tuple((offset + (0,), w) for offset, w in self)
+        return self._batched
+
     def radius(self) -> Tuple[int, ...]:
         """Maximum absolute offset per axis (ghost-cell width needed)."""
         return tuple(int(r) for r in np.abs(self._offsets).max(axis=0))

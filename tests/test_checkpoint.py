@@ -26,28 +26,16 @@ class TestCheckpointStore:
         assert store.saves == 1
 
     def test_capacity_eviction(self, small_grid_2d):
-        store = InMemoryCheckpointStore(max_checkpoints=2)
+        # Single slot: every save replaces the previous checkpoint.
+        store = InMemoryCheckpointStore()
         c0 = self._checkpoint(small_grid_2d, 0)
         c1 = self._checkpoint(small_grid_2d, 1)
-        c2 = self._checkpoint(small_grid_2d, 2)
         store.save(c0)
         store.save(c1)
-        store.save(c2)
-        assert len(store) == 2
-        assert store.latest() is c2
-        assert store.at_or_before(0) is None  # evicted
-
-    def test_at_or_before(self, small_grid_2d):
-        store = InMemoryCheckpointStore(max_checkpoints=5)
-        for it in (0, 4, 8):
-            store.save(self._checkpoint(small_grid_2d, it))
-        assert store.at_or_before(5).iteration == 4
-        assert store.at_or_before(8).iteration == 8
-        assert store.at_or_before(100).iteration == 8
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            InMemoryCheckpointStore(max_checkpoints=0)
+        assert len(store) == 1
+        assert store.latest() is c1
+        assert store.saves == 2
+        assert store.nbytes() == c1.nbytes()
 
     def test_clear_and_restore_counter(self, small_grid_2d):
         store = InMemoryCheckpointStore()

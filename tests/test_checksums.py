@@ -8,7 +8,6 @@ from repro.core.checksums import (
     checksum,
     column_checksum,
     constant_checksum,
-    patch_checksum,
     row_checksum,
 )
 from repro.stencil.reference import (
@@ -91,14 +90,3 @@ class TestConstantChecksum:
         with pytest.raises(ValueError, match="constant term"):
             constant_checksum(rng.random((2, 2)), 0, (3, 3), np.float32)
 
-
-class TestPatchChecksum:
-    def test_patch_updates_entry(self):
-        cs = np.array([10.0, 20.0, 30.0])
-        patch_checksum(cs, 1, old_value=5.0, new_value=7.5)
-        assert cs[1] == pytest.approx(22.5)
-
-    def test_patch_tuple_index(self):
-        cs = np.zeros((2, 2))
-        patch_checksum(cs, (1, 0), old_value=1.0, new_value=4.0)
-        assert cs[1, 0] == pytest.approx(3.0)

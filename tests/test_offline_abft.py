@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint.store import InMemoryCheckpointStore
-from repro.core.offline import OfflineABFT
+from repro.core.offline import MAX_RECOVERY_ATTEMPTS, OfflineABFT
 from repro.core.protector import NoProtection
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.metrics.accuracy import l2_error
@@ -135,10 +134,10 @@ class TestOfflineWithFault:
         assert run.total_rollbacks == 0
 
     def test_checkpoint_store_reused_and_counted(self, rng):
-        store = InMemoryCheckpointStore(max_checkpoints=2)
         grid = _make_grid(rng)
         injector = FaultInjector([FaultPlan(iteration=6, index=(3, 3), bit=27)])
-        p = OfflineABFT.for_grid(grid, epsilon=1e-5, period=4, store=store)
+        p = OfflineABFT.for_grid(grid, epsilon=1e-5, period=4)
+        store = p.store
         p.run(grid, 12, inject=injector)
         assert store.saves >= 3
         assert store.restores == 1
@@ -146,19 +145,17 @@ class TestOfflineWithFault:
     def test_persistent_fault_bounded_by_max_attempts(self, rng):
         # A hook that corrupts the same point on every iteration can never
         # be repaired by recomputation; the protector must give up after
-        # max_recovery_attempts instead of livelocking.
+        # MAX_RECOVERY_ATTEMPTS rollbacks instead of livelocking.
         grid = _make_grid(rng)
 
         def persistent(g, iteration):
             g.u[5, 5] += 1e4
 
-        p = OfflineABFT.for_grid(
-            grid, epsilon=1e-5, period=4, max_recovery_attempts=2
-        )
+        p = OfflineABFT.for_grid(grid, epsilon=1e-5, period=4)
         run = p.run(grid, 4, inject=persistent)
         assert run.total_detected >= 1
         assert run.total_uncorrected >= 1
-        assert p.total_rollbacks <= 2
+        assert p.total_rollbacks == MAX_RECOVERY_ATTEMPTS
 
     def test_3d_fault_erased(self, small_grid_3d):
         grid = small_grid_3d

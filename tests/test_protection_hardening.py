@@ -17,10 +17,13 @@ import pytest
 
 from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
+from repro.faults.campaign import CampaignConfig, compute_reference
+from repro.faults.engine import CampaignEngine
 from repro.faults.injector import FaultPlan
 from repro.faults.models import (
     ChecksumInjector,
     DistributedFaultInjector,
+    make_fault_model,
     make_injector,
 )
 from repro.parallel.simmpi import DistributedStencilRunner
@@ -100,6 +103,47 @@ class TestOnlineSerial:
             assert run.total_detected == 0
             assert protector.total_metadata_repairs == 1
             np.testing.assert_array_equal(grid.u, clean.u)
+
+    def test_checksum_fault_at_first_iteration_repairs(self, rng):
+        """The seed is stored before the first hook fires, so a plan at
+        iteration 1 strikes (and the self-check repairs) the seed."""
+        grid = _make_grid(rng)
+        clean = grid.copy()
+        OnlineABFT.for_grid(clean, epsilon=1e-5).run(clean, 8)
+
+        protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
+        hook = ChecksumInjector([_checksum_plan(protector, 1)], protector)
+        run = protector.run(grid, 8, inject=hook)
+
+        assert hook.fired_count == 1
+        assert protector.total_metadata_repairs == 1
+        assert run.total_detected == 0
+        np.testing.assert_array_equal(grid.u, clean.u)
+
+    def test_region_checksum_campaign_at_first_iteration(self, rng):
+        """A one-iteration campaign puts every checksum plan at t=1."""
+        u0 = _make_grid(rng).u.copy()
+
+        def grid_factory():
+            return Grid2D(
+                u0.copy(), five_point_diffusion(0.2), BoundaryCondition.clamp()
+            )
+
+        config = CampaignConfig(
+            iterations=1, repetitions=3, seed=2,
+            fault_model=make_fault_model("region-checksum", bit=HIGH_BIT),
+        )
+        reference = compute_reference(grid_factory, 1)
+        with CampaignEngine(executor="serial") as engine:
+            result = engine.run(
+                grid_factory,
+                lambda grid: OnlineABFT.for_grid(grid, epsilon=1e-5),
+                config,
+                reference=reference,
+            )
+        assert [r.faults[0].iteration for r in result.records] == [1, 1, 1]
+        assert all(r.errors_detected == 0 for r in result.records)
+        assert all(r.arithmetic_error == 0.0 for r in result.records)
 
     def test_reset_clears_repair_counter(self, rng):
         grid = _make_grid(rng)
